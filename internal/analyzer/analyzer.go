@@ -7,6 +7,7 @@ package analyzer
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"janus/internal/alias"
@@ -139,6 +140,26 @@ func Analyze(exe *obj.Executable) (*Program, error) {
 		p.analyzeLoop(li)
 	}
 	return p, nil
+}
+
+// Clone returns a copy of p for one run of the selection pipeline. The
+// per-run state is copied: each LoopInfo value (class, reasons,
+// profile fields, selection), the loop index and UnknownProfileIDs, so
+// the Apply* mutators and SelectLoops on the clone leave p untouched.
+// The executable, CFG, SSA and each loop's Loop, Sym, Dep and LibCalls
+// are shared and must be treated as read-only. This lets one analysis
+// of a binary serve every configuration run over it.
+func (p *Program) Clone() *Program {
+	cp := *p
+	cp.Loops = make([]*LoopInfo, len(p.Loops))
+	cp.byLoop = make(map[*cfg.Loop]*LoopInfo, len(p.byLoop))
+	for i, li := range p.Loops {
+		c := *li
+		c.Reasons = slices.Clone(li.Reasons)
+		cp.Loops[i] = &c
+		cp.byLoop[c.Loop] = &c
+	}
+	return &cp
 }
 
 // LoopByID returns the loop record with the given id.

@@ -15,7 +15,9 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"sort"
+	"sync"
 
 	"janus/internal/guest"
 )
@@ -57,6 +59,11 @@ type Import struct {
 }
 
 // Executable is a loadable guest program image.
+//
+// An image must not be mutated after its first use: Fingerprint caches
+// the content key on first call, and the pipeline's in-memory memos key
+// derived results on the *Executable pointer. Derive a new image (Strip,
+// Load, a fresh build) instead of editing one in place.
 type Executable struct {
 	Name     string
 	Entry    uint64
@@ -70,6 +77,8 @@ type Executable struct {
 	// analyser must recover functions from the entry point and call
 	// targets alone.
 	Stripped bool
+
+	fp contentKey
 }
 
 // CodeEnd returns the first address past the code section.
@@ -135,26 +144,34 @@ func (e *Executable) SymbolByName(name string) (Symbol, bool) {
 
 // Strip returns a copy with local function symbols removed, keeping only
 // what a stripped dynamic binary retains: entry, section bounds, imports.
+// The copy is built field by field so it starts with no cached
+// fingerprint of its own.
 func (e *Executable) Strip() *Executable {
-	cp := *e
-	cp.Symbols = nil
-	cp.Stripped = true
-	cp.Code = append([]byte(nil), e.Code...)
-	cp.Data = append([]byte(nil), e.Data...)
-	cp.Imports = append([]Import(nil), e.Imports...)
-	return &cp
+	return &Executable{
+		Name:     e.Name,
+		Entry:    e.Entry,
+		CodeBase: e.CodeBase,
+		Code:     append([]byte(nil), e.Code...),
+		DataBase: e.DataBase,
+		Data:     append([]byte(nil), e.Data...),
+		Imports:  append([]Import(nil), e.Imports...),
+		Stripped: true,
+	}
 }
 
 // Size returns the total image size in bytes (code + data), the figure
 // the paper normalises rewrite-schedule sizes against.
 func (e *Executable) Size() int { return len(e.Code) + len(e.Data) }
 
-// Library is a shared object mapped by the loader.
+// Library is a shared object mapped by the loader. Like an
+// Executable, a library must not be mutated after its first use.
 type Library struct {
 	Name    string
 	Base    uint64
 	Code    []byte
 	Symbols []Symbol
+
+	fp contentKey
 }
 
 // SymbolByName finds an exported library symbol.
@@ -177,34 +194,38 @@ const magic = "JEXE0001"
 // Save serialises the executable to a byte image (our "file format").
 func (e *Executable) Save() []byte {
 	var buf bytes.Buffer
-	buf.WriteString(magic)
-	writeStr(&buf, e.Name)
-	w64 := func(v uint64) { _ = binary.Write(&buf, binary.LittleEndian, v) }
-	w64(e.Entry)
-	w64(e.CodeBase)
-	w64(uint64(len(e.Code)))
-	buf.Write(e.Code)
-	w64(e.DataBase)
-	w64(uint64(len(e.Data)))
-	buf.Write(e.Data)
-	if e.Stripped {
-		buf.WriteByte(1)
-	} else {
-		buf.WriteByte(0)
-	}
-	w64(uint64(len(e.Symbols)))
-	for _, s := range e.Symbols {
-		writeStr(&buf, s.Name)
-		w64(s.Addr)
-		w64(s.Size)
-		buf.WriteByte(byte(s.Kind))
-	}
-	w64(uint64(len(e.Imports)))
-	for _, im := range e.Imports {
-		writeStr(&buf, im.Name)
-		w64(im.PLT)
-	}
+	e.encode(&buf)
 	return buf.Bytes()
+}
+
+// encode writes the Save image to w. Save and Fingerprint share it, so
+// the fingerprint hashes exactly the bytes Save would produce without
+// building the image.
+func (e *Executable) encode(w io.Writer) {
+	en := encoder{w: w}
+	en.raw([]byte(magic))
+	en.str(e.Name)
+	en.u64(e.Entry)
+	en.u64(e.CodeBase)
+	en.u64(uint64(len(e.Code)))
+	en.raw(e.Code)
+	en.u64(e.DataBase)
+	en.u64(uint64(len(e.Data)))
+	en.raw(e.Data)
+	if e.Stripped {
+		en.u8(1)
+	} else {
+		en.u8(0)
+	}
+	en.u64(uint64(len(e.Symbols)))
+	for _, s := range e.Symbols {
+		en.symbol(s)
+	}
+	en.u64(uint64(len(e.Imports)))
+	for _, im := range e.Imports {
+		en.str(im.Name)
+		en.u64(im.PLT)
+	}
 }
 
 // Load parses an image produced by Save.
@@ -290,9 +311,52 @@ func Load(img []byte) (*Executable, error) {
 	return e, nil
 }
 
-func writeStr(buf *bytes.Buffer, s string) {
-	_ = binary.Write(buf, binary.LittleEndian, uint64(len(s)))
-	buf.WriteString(s)
+// encoder writes the little-endian fields of an image. Writes to a
+// bytes.Buffer or a hash never fail, so errors are not reported.
+type encoder struct {
+	w   io.Writer
+	buf [8]byte
+}
+
+func (en *encoder) raw(b []byte) { _, _ = en.w.Write(b) }
+
+func (en *encoder) u8(b byte) {
+	en.buf[0] = b
+	en.raw(en.buf[:1])
+}
+
+func (en *encoder) u64(v uint64) {
+	binary.LittleEndian.PutUint64(en.buf[:], v)
+	en.raw(en.buf[:])
+}
+
+func (en *encoder) str(s string) {
+	en.u64(uint64(len(s)))
+	_, _ = io.WriteString(en.w, s)
+}
+
+func (en *encoder) symbol(s Symbol) {
+	en.str(s.Name)
+	en.u64(s.Addr)
+	en.u64(s.Size)
+	en.u8(byte(s.Kind))
+}
+
+// contentKey is an image's fingerprint, computed on first use and
+// cached for the life of the image (images are immutable after first
+// use). Concurrent first callers share one computation.
+type contentKey struct {
+	once sync.Once
+	hex  string
+}
+
+func (k *contentKey) get(encode func(io.Writer)) string {
+	k.once.Do(func() {
+		h := sha256.New()
+		encode(h)
+		k.hex = hex.EncodeToString(h.Sum(nil))
+	})
+	return k.hex
 }
 
 // Fingerprint returns the hex SHA-256 of the executable's serialised
@@ -301,28 +365,23 @@ func writeStr(buf *bytes.Buffer, s string) {
 // training profiles, DBM results) by the exact binary they came from.
 // Every semantic field of an Executable is part of Save, so two
 // executables with equal fingerprints are indistinguishable to the
-// analyser, the VM and the DBM.
-func (e *Executable) Fingerprint() string {
-	sum := sha256.Sum256(e.Save())
-	return hex.EncodeToString(sum[:])
-}
+// analyser, the VM and the DBM. The hash is streamed on the first call
+// and cached on the image.
+func (e *Executable) Fingerprint() string { return e.fp.get(e.encode) }
 
 // Fingerprint returns the hex SHA-256 of the library's canonical
 // encoding (name, base, code, symbol table), mirroring
 // Executable.Fingerprint for artifact-cache keys.
-func (l *Library) Fingerprint() string {
-	var buf bytes.Buffer
-	writeStr(&buf, l.Name)
-	_ = binary.Write(&buf, binary.LittleEndian, l.Base)
-	_ = binary.Write(&buf, binary.LittleEndian, uint64(len(l.Code)))
-	buf.Write(l.Code)
-	_ = binary.Write(&buf, binary.LittleEndian, uint64(len(l.Symbols)))
+func (l *Library) Fingerprint() string { return l.fp.get(l.encode) }
+
+func (l *Library) encode(w io.Writer) {
+	en := encoder{w: w}
+	en.str(l.Name)
+	en.u64(l.Base)
+	en.u64(uint64(len(l.Code)))
+	en.raw(l.Code)
+	en.u64(uint64(len(l.Symbols)))
 	for _, s := range l.Symbols {
-		writeStr(&buf, s.Name)
-		_ = binary.Write(&buf, binary.LittleEndian, s.Addr)
-		_ = binary.Write(&buf, binary.LittleEndian, s.Size)
-		buf.WriteByte(byte(s.Kind))
+		en.symbol(s)
 	}
-	sum := sha256.Sum256(buf.Bytes())
-	return hex.EncodeToString(sum[:])
 }

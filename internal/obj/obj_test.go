@@ -1,6 +1,11 @@
 package obj
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"sync"
 	"testing"
 
 	"janus/internal/guest"
@@ -116,15 +121,117 @@ func TestLoadTruncationsFail(t *testing.T) {
 }
 
 func TestLibraryLookups(t *testing.T) {
-	lib := &Library{
-		Name: "libm", Base: DefaultLibBase,
-		Code:    make([]byte, 3*guest.InstSize),
-		Symbols: []Symbol{{Name: "pow", Addr: DefaultLibBase, Size: 2 * guest.InstSize, Kind: SymFunc}},
-	}
+	lib := sampleLib()
 	if s, ok := lib.SymbolByName("pow"); !ok || s.Addr != DefaultLibBase {
 		t.Fatal("library symbol lookup")
 	}
 	if !lib.InCode(DefaultLibBase) || lib.InCode(DefaultLibBase+3*guest.InstSize) {
 		t.Fatal("library InCode bounds")
+	}
+}
+
+// TestFingerprintMatchesSaveImage pins the shared encoder: the
+// streamed fingerprint is the SHA-256 of exactly the Save bytes, and a
+// reloaded image keys identically.
+func TestFingerprintMatchesSaveImage(t *testing.T) {
+	e := sampleExe()
+	img := e.Save()
+	sum := sha256.Sum256(img)
+	if got, want := e.Fingerprint(), hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("Fingerprint = %s, want sha256(Save()) = %s", got, want)
+	}
+	back, err := Load(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Fingerprint() != e.Fingerprint() {
+		t.Fatal("Load(e.Save()).Fingerprint() != e.Fingerprint()")
+	}
+	if !bytes.Equal(back.Save(), img) {
+		t.Fatal("Save of a reloaded image is not byte-identical")
+	}
+}
+
+// TestStripDoesNotInheritFingerprint computes e's key first, so a
+// struct copy in Strip would carry the cached value over.
+func TestStripDoesNotInheritFingerprint(t *testing.T) {
+	e := sampleExe()
+	fp := e.Fingerprint()
+	st := e.Strip()
+	if st.Fingerprint() == fp {
+		t.Fatal("stripped copy kept the original's fingerprint")
+	}
+	if fresh := sampleExe().Strip().Fingerprint(); st.Fingerprint() != fresh {
+		t.Fatalf("stripped fingerprint %s depends on the original's cache (fresh strip: %s)", st.Fingerprint(), fresh)
+	}
+}
+
+// TestFingerprintConcurrent races first calls on one image and one
+// library; run under -race it checks the cache is published safely.
+func TestFingerprintConcurrent(t *testing.T) {
+	e := sampleExe()
+	lib := sampleLib()
+	want, wantLib := sampleExe().Fingerprint(), sampleLib().Fingerprint()
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := e.Fingerprint(); got != want {
+				t.Errorf("concurrent Fingerprint = %s, want %s", got, want)
+			}
+			if got := lib.Fingerprint(); got != wantLib {
+				t.Errorf("concurrent library Fingerprint = %s, want %s", got, wantLib)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestFingerprintCachedAllocs: after the first call the key is read
+// from the image without hashing or allocating.
+func TestFingerprintCachedAllocs(t *testing.T) {
+	e := sampleExe()
+	lib := sampleLib()
+	e.Fingerprint()
+	lib.Fingerprint()
+	if n := testing.AllocsPerRun(100, func() { e.Fingerprint() }); n != 0 {
+		t.Errorf("cached Executable.Fingerprint allocates %v times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { lib.Fingerprint() }); n != 0 {
+		t.Errorf("cached Library.Fingerprint allocates %v times per call, want 0", n)
+	}
+}
+
+// TestLibraryFingerprintEncoding pins the library key to its
+// length-prefixed little-endian encoding, which artifact-cache entries
+// already on disk were keyed by.
+func TestLibraryFingerprintEncoding(t *testing.T) {
+	lib := sampleLib()
+	var buf bytes.Buffer
+	u64 := func(v uint64) { _ = binary.Write(&buf, binary.LittleEndian, v) }
+	str := func(s string) { u64(uint64(len(s))); buf.WriteString(s) }
+	str(lib.Name)
+	u64(lib.Base)
+	u64(uint64(len(lib.Code)))
+	buf.Write(lib.Code)
+	u64(uint64(len(lib.Symbols)))
+	for _, s := range lib.Symbols {
+		str(s.Name)
+		u64(s.Addr)
+		u64(s.Size)
+		buf.WriteByte(byte(s.Kind))
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	if got, want := lib.Fingerprint(), hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("library Fingerprint = %s, want %s", got, want)
+	}
+}
+
+func sampleLib() *Library {
+	return &Library{
+		Name: "libm", Base: DefaultLibBase,
+		Code:    make([]byte, 3*guest.InstSize),
+		Symbols: []Symbol{{Name: "pow", Addr: DefaultLibBase, Size: 2 * guest.InstSize, Kind: SymFunc}},
 	}
 }

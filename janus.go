@@ -89,6 +89,9 @@ type Config struct {
 
 // Report is the outcome of a full Janus run.
 type Report struct {
+	// Program is this run's analysis: a Program.Clone whose loop
+	// records are private but whose CFG, SSA and per-loop analyses are
+	// shared with every other run over the same binary, read-only.
 	Program  *analyzer.Program
 	Schedule *rules.Schedule
 	Native   *vm.Result
@@ -116,21 +119,23 @@ func Parallelise(exe *obj.Executable, cfg Config, libs ...*obj.Library) (*Report
 		cfg.MinCoverage = analyzer.DefaultMinCoverage
 	}
 
-	prog, err := analyzer.Analyze(exe)
+	// The analysis of a binary is shared by every run over it; this
+	// run's profile application and selection mutate a private clone.
+	base, err := runAnalyzeMemo(exe)
 	if err != nil {
 		return nil, fmt.Errorf("janus: static analysis: %w", err)
 	}
+	prog := base.Clone()
 
 	// Training stage (optional, figure 1(a) left).
 	if cfg.UseProfile || cfg.UseChecks {
 		trainExe := cfg.TrainExe
-		trainProg := prog
+		// The profile memo keys on the analysis, so profiling the ref
+		// binary itself must pass the shared base, not this run's clone.
+		trainProg := base
 		if trainExe == nil {
 			trainExe = exe
 		} else {
-			// Memoised: the train binary is re-analysed identically for
-			// every configuration that profiles it, and the profiling
-			// path never mutates the Program.
 			trainProg, err = runAnalyzeMemo(trainExe)
 			if err != nil {
 				return nil, fmt.Errorf("janus: train analysis: %w", err)

@@ -28,7 +28,10 @@ import (
 // content fingerprint rather than pointer, and publishes what it
 // computes. The analysis memo is the exception — an analyzer.Program
 // is a live CFG/SSA object graph with no serialised form, so it stays
-// memory → compute only; re-analysis is cheap relative to execution.
+// memory → compute only. It is not cheap to lose: on a warm request
+// every native, profile and DBM result is a cache hit, and re-analysing
+// the binary for each configuration would be most of the remaining
+// work.
 
 // memoLimit bounds each memo table (the harness working set is far
 // smaller); eviction keeps in-flight entries, so the run-exactly-once
@@ -88,11 +91,12 @@ func runNativeMemo(c *artcache.Cache, exe *obj.Executable, libs ...*obj.Library)
 var analyzeFlight = singleflight.Flight[*obj.Executable, *analyzer.Program]{Limit: memoLimit}
 
 // runAnalyzeMemo returns the static analysis of exe, running it at
-// most once per executable. The shared Program is read-only in the
-// profiling path (GenProfileSchedule builds a fresh schedule; the
-// Apply* mutators are only ever called on per-run analyses). Analysis
-// results never reach the durable tier: a Program is an in-memory
-// object graph with no serialised form.
+// most once per executable. The shared Program is read-only: the
+// profiling path only reads it (GenProfileSchedule builds a fresh
+// schedule), and Parallelise applies profiles and selects loops on a
+// per-run Program.Clone. Analysis results never reach the durable
+// tier: a Program is an in-memory object graph with no serialised
+// form.
 func runAnalyzeMemo(exe *obj.Executable) (*analyzer.Program, error) {
 	return analyzeFlight.Do(exe, func() (*analyzer.Program, error) {
 		return analyzer.Analyze(exe)
@@ -114,9 +118,9 @@ var profileFlight = singleflight.Flight[profileKey, *ProfileResult]{Limit: memoL
 // prog, running it at most once per (executable, analysis, libraries)
 // even under concurrent callers, and consulting the durable cache c
 // (nil = none) on a memory miss. The durable key omits prog: every
-// Program reaching this memo is a fresh deterministic analysis of exe
-// (the Apply* mutations happen downstream on ref analyses), so the
-// binary fingerprint subsumes it.
+// Program reaching this memo is an unmutated analysis of exe (the
+// Apply* mutations happen downstream on per-run clones), so the binary
+// fingerprint subsumes it.
 func runProfilingMemo(c *artcache.Cache, exe *obj.Executable, prog *analyzer.Program, libs ...*obj.Library) (*ProfileResult, error) {
 	compute := func() (*ProfileResult, error) {
 		if c == nil {

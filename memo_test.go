@@ -1,12 +1,14 @@
 package janus
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"janus/internal/analyzer"
 	"janus/internal/artcache"
 	"janus/internal/obj"
 	"janus/internal/singleflight"
@@ -220,4 +222,170 @@ func TestNativeMemoHealsCorruptDiskEntry(t *testing.T) {
 	if cache.Stats().Hits <= before {
 		t.Fatal("store did not heal: third lookup was not a hit")
 	}
+}
+
+// figure7Configs are the three Janus bars of figure 7.
+var figure7Configs = []Config{
+	{},
+	{UseProfile: true},
+	{UseProfile: true, UseChecks: true},
+}
+
+// TestParalleliseMatchesFreshAnalysis checks that running on a clone
+// of the memoised analysis yields the schedule a fresh, unshared
+// analysis would: for every figure-7 binary and configuration, the
+// schedule bytes equal those of Analyze → profile → SelectLoops →
+// GenParallelSchedule done from scratch.
+func TestParalleliseMatchesFreshAnalysis(t *testing.T) {
+	for _, name := range workloads.ParallelisableNames() {
+		t.Run(name, func(t *testing.T) {
+			exe, libs, err := workloads.Build(name, workloads.Ref, workloads.O3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			train, _, err := workloads.Build(name, workloads.Train, workloads.O3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			trainProg, err := analyzer.Analyze(train)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pr, err := RunProfiling(train, trainProg, libs...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, cfg := range figure7Configs {
+				fresh, err := analyzer.Analyze(exe)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cfg.UseProfile {
+					fresh.ApplyCoverage(pr.Coverage)
+					fresh.ApplyExclCoverage(pr.ExclCoverage)
+					fresh.ApplyAvgIters(pr.AvgIters)
+					fresh.ApplyDependences(pr.Dependences)
+				}
+				fresh.SelectLoops(analyzer.SelectOptions{
+					UseProfile:  cfg.UseProfile,
+					MinCoverage: analyzer.DefaultMinCoverage,
+					UseChecks:   cfg.UseChecks,
+				})
+				want := saveSchedule(t, fresh)
+
+				cfg.Threads = 8
+				cfg.TrainExe = train
+				rep, err := Parallelise(exe, cfg, libs...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := rep.Schedule.Save()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("profile=%v checks=%v: schedule from the memoised analysis differs from a fresh one (%d vs %d bytes)",
+						cfg.UseProfile, cfg.UseChecks, len(got), len(want))
+				}
+			}
+		})
+	}
+}
+
+func saveSchedule(t *testing.T, p *analyzer.Program) []byte {
+	t.Helper()
+	sched, err := p.GenParallelSchedule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := sched.Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// TestParalleliseProfilesOnceWithoutTrainExe: with TrainExe nil the
+// ref binary profiles itself, and a second run must reuse the first
+// profile from memory. Its only durable-tier lookup is then the DBM
+// result (DBM runs are not memoised in memory); a profile memo miss
+// would add a profile lookup.
+func TestParalleliseProfilesOnceWithoutTrainExe(t *testing.T) {
+	cache, err := artcache.Open(t.TempDir(), artcache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exe, libs, err := workloads.Build("462.libquantum", workloads.Train, workloads.O3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Threads: 8, UseProfile: true, UseChecks: true, Verify: true, Cache: cache}
+	first, err := Parallelise(exe, cfg, libs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := cache.Stats()
+	second, err := Parallelise(exe, cfg, libs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := cache.Stats()
+	if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != 1 || misses != 0 {
+		t.Fatalf("second run made %d hits and %d misses, want 1 hit (the DBM result) and 0 misses", hits, misses)
+	}
+	if first.Program == second.Program {
+		t.Fatal("two runs shared one per-run Program")
+	}
+	if first.Speedup() != second.Speedup() || first.Selected != second.Selected {
+		t.Fatalf("runs disagree: %.4f/%d vs %.4f/%d", first.Speedup(), first.Selected, second.Speedup(), second.Selected)
+	}
+}
+
+// TestParalleliseConcurrentOnOneExe runs every figure-7 configuration
+// concurrently on one binary, twice over, from a cold memo: the runs
+// share one analysis and one profile, so under -race this checks the
+// shared Program is only read. Each schedule must match a sequential
+// run's.
+func TestParalleliseConcurrentOnOneExe(t *testing.T) {
+	exe, libs, err := workloads.Build("410.bwaves", workloads.Train, workloads.O3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]byte, len(figure7Configs))
+	for i, cfg := range figure7Configs {
+		cfg.Threads = 8
+		rep, err := Parallelise(exe, cfg, libs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[i], err = rep.Schedule.Save(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ResetMemos()
+	var wg sync.WaitGroup
+	for round := 0; round < 2; round++ {
+		for i, cfg := range figure7Configs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				cfg.Threads = 8
+				cfg.Verify = true
+				rep, err := Parallelise(exe, cfg, libs...)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := rep.Schedule.Save()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(got, want[i]) {
+					t.Errorf("config %d: concurrent schedule differs from the sequential one", i)
+				}
+			}()
+		}
+	}
+	wg.Wait()
 }
