@@ -62,13 +62,13 @@ func scheduleKey(sched *rules.Schedule) (string, bool) {
 }
 
 // dbmConfigKey folds every Config field that can influence a Result —
-// including the engine-selection knobs, which leave virtual cycles
-// untouched but are attributed in Stats (HostParRegions,
-// StealRegions) — into a canonical string. Inject and Profile are
-// absent because injected and profiling runs never reach the cache.
+// including the engine-selection knob, which leaves virtual cycles
+// untouched but is attributed in Stats (HostParRegions) — into a
+// canonical string. Inject and Profile are absent because injected
+// and profiling runs never reach the cache.
 func dbmConfigKey(c dbm.Config) string {
-	return fmt.Sprintf("threads=%d parallel=%t hostpar=%t steal=%t miniter=%d maxsteps=%d cost=%+v",
-		c.Threads, c.Parallel, c.HostParallel, c.WorkStealing, c.MinIterPerThread, c.MaxSteps, c.Cost)
+	return fmt.Sprintf("threads=%d parallel=%t hostpar=%t miniter=%d maxsteps=%d cost=%+v",
+		c.Threads, c.Parallel, c.HostParallel, c.MinIterPerThread, c.MaxSteps, c.Cost)
 }
 
 // runDBMCached executes exe under the DBM, consulting the durable

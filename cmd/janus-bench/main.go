@@ -9,9 +9,6 @@
 //	                                     byte-identical at any value)
 //	janus-bench -host-parallel=false     force the single-goroutine region
 //	                                     engine (outputs are byte-identical)
-//	janus-bench -steal=false             force static equal chunking instead
-//	                                     of the work-stealing partitioner
-//	                                     (outputs are byte-identical)
 //	janus-bench -engine-json BENCH_engine.json
 //	                                     execution-engine perf snapshot
 //	janus-bench -inject scan-defeat      arm deterministic fault injection
@@ -75,7 +72,6 @@ func main() {
 	threads := flag.Int("threads", def.Threads, "guest thread count")
 	jobs := flag.Int("jobs", def.Jobs, "how many benchmark rows run concurrently across the suite (figure/table outputs are byte-identical at any value)")
 	hostParallel := flag.Bool("host-parallel", !def.SingleGoroutine, "run eligible parallel regions on host goroutines; false forces the single-goroutine round-robin engine (figure/table outputs are bit-identical either way)")
-	steal := flag.Bool("steal", !def.StaticPartition, "balance host-parallel regions with the work-stealing partitioner; false forces static equal chunking (figure/table outputs are bit-identical either way)")
 	engineJSON := flag.String("engine-json", "", "run the execution-engine micro-benchmarks and write a JSON perf snapshot to this path")
 	inject := flag.String("inject", "", "arm deterministic fault injection in speculative regions, spec point[@every][#seed] with point one of scan-defeat, worker-panic, stall, budget (recovery keeps stdout byte-identical; summary on stderr)")
 	genCorpus := flag.Int("gen-corpus", 0, "screen N seeded generated kernels against the differential oracle and graduate interesting ones into this run's benchmark corpus (0 = off; the default suite and its golden output are unchanged)")
@@ -90,7 +86,6 @@ func main() {
 		Threads:         *threads,
 		Jobs:            *jobs,
 		SingleGoroutine: !*hostParallel,
-		StaticPartition: !*steal,
 		Recovery:        &harness.RecoveryLog{},
 		CacheDir:        *cacheDir,
 	}

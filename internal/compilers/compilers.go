@@ -63,21 +63,13 @@ type Result struct {
 	LoopsParallelised int
 }
 
-// Engine selects the DBM region execution for the modelled compiler's
-// simulated run. Results are bit-identical under every setting;
-// callers thread their engine choice through so a single-goroutine or
-// static-partition A/B run really is one end to end.
-type Engine struct {
-	// HostParallel runs eligible parallel regions on host goroutines.
-	HostParallel bool
-	// WorkStealing uses the work-stealing partitioner inside
-	// host-parallel regions.
-	WorkStealing bool
-}
-
 // Parallelise runs the modelled compiler over exe with the given thread
-// count and returns the achieved speedup.
-func Parallelise(kind Kind, exe *obj.Executable, threads int, eng Engine, libs ...*obj.Library) (*Result, error) {
+// count and returns the achieved speedup. hostParallel selects the DBM
+// region engine for the simulated run (eligible regions on host
+// goroutines, or all round-robin); results are bit-identical either
+// way, and callers thread their choice through so a single-goroutine
+// A/B run really is one end to end.
+func Parallelise(kind Kind, exe *obj.Executable, threads int, hostParallel bool, libs ...*obj.Library) (*Result, error) {
 	prog, err := analyzer.Analyze(exe)
 	if err != nil {
 		return nil, err
@@ -116,8 +108,7 @@ func Parallelise(kind Kind, exe *obj.Executable, threads int, eng Engine, libs .
 	cfg := dbm.Config{
 		Threads:          threads,
 		Parallel:         true,
-		HostParallel:     eng.HostParallel,
-		WorkStealing:     eng.WorkStealing,
+		HostParallel:     hostParallel,
 		MinIterPerThread: 4,
 		MaxSteps:         vm.DefaultMaxSteps,
 		Cost:             staticCost(),

@@ -12,14 +12,14 @@ func TestGccConservativeOnLibraryCalls(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Parallelise(GCC, exe, 8, Engine{HostParallel: true, WorkStealing: true}, libs...)
+	res, err := Parallelise(GCC, exe, 8, true, libs...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Speedup <= 0 {
 		t.Fatal("no speedup computed")
 	}
-	icc, err := Parallelise(ICC, exe, 8, Engine{HostParallel: true, WorkStealing: true}, libs...)
+	icc, err := Parallelise(ICC, exe, 8, true, libs...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestCompilersBeatNothingOnStaticDOALL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Parallelise(GCC, exe, 8, Engine{HostParallel: true, WorkStealing: true}, libs...)
+	res, err := Parallelise(GCC, exe, 8, true, libs...)
 	if err != nil {
 		t.Fatal(err)
 	}

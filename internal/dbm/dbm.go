@@ -5,32 +5,26 @@
 //
 // Execution is deterministic and the elapsed time of a parallel region
 // is always the maximum thread virtual-cycle clock plus orchestration
-// overheads (see ARCHITECTURE.md). Three region engines produce that
+// overheads (see ARCHITECTURE.md). Two region engines produce that
 // result:
 //
 //   - round-robin: guest threads stepped at basic-block granularity on
 //     one goroutine. Fully general — the fixed schedule orders
 //     speculative commits and syscalls.
-//   - host-parallel: one host goroutine per guest thread, used when a
-//     static scan of the loop body proves the threads cannot observe
-//     each other (see hostpar.go). Per-thread code caches, memory
-//     views and counters keep the hot paths lock-free.
-//   - work-stealing (the default for scan-eligible loops): the same
-//     host-parallel execution over a finer partition — idle workers
-//     steal subchunks from a shared set of deques, and every piece
-//     folds back into its owning guest thread so the folded result is
-//     bit-identical to static chunking (see steal.go).
+//   - host-parallel (the default for scan-eligible loops): one host
+//     goroutine per guest thread, each running its static equal chunk
+//     (jrt.PartitionChunked), used when a static scan of the loop body
+//     proves the threads cannot observe each other (see hostpar.go).
+//     Per-thread code caches, memory views and counters keep the hot
+//     paths lock-free.
 //
-// Simulated results — virtual cycles, figures, data hashes — are
-// bit-identical between the engines and independent of GOMAXPROCS;
-// only host wall-clock differs. (The full-image MemHash additionally
-// covers worker-private scratch, which under work stealing records
-// host scheduling; DataHash, the verification contract, never does.)
+// Simulated results — virtual cycles, figures, data hashes and the
+// full-image MemHash — are bit-identical between the engines and
+// independent of GOMAXPROCS; only host wall-clock differs.
 package dbm
 
 import (
 	"fmt"
-	"sync"
 
 	"janus/internal/faultinject"
 	"janus/internal/guest"
@@ -102,16 +96,6 @@ type Config struct {
 	// (syscalls, indirect control flow, speculation) fall back to the
 	// round-robin engine.
 	HostParallel bool
-	// WorkStealing subdivides each host-parallel region's static chunks
-	// into ~StealFactor pieces per thread that idle host workers steal
-	// from a shared set of deques, balancing host wall-clock when
-	// per-iteration cost is uneven. Every piece's virtual-cycle cost is
-	// folded back into the guest thread that owns it under static
-	// chunking, so simulated results are bit-identical to the static
-	// partitioner (see steal.go); only host wall-clock changes. Regions
-	// the eligibility scan sends to the round-robin engine, and loops
-	// with floating-point reductions, keep static chunks.
-	WorkStealing bool
 	// MinIterPerThread is the profitability floor: loops with fewer
 	// iterations per thread run sequentially.
 	MinIterPerThread int64
@@ -131,7 +115,6 @@ func DefaultConfig(threads int) Config {
 		Threads:          threads,
 		Parallel:         true,
 		HostParallel:     true,
-		WorkStealing:     true,
 		MinIterPerThread: 4,
 		MaxSteps:         vm.DefaultMaxSteps,
 		Cost:             DefaultCost(),
@@ -154,8 +137,10 @@ type Stats struct {
 	// HostParRegions counts the regions that ran on host goroutines
 	// (the remainder of ParRegions used the round-robin engine).
 	HostParRegions int64
-	// StealRegions counts the host-parallel regions that used the
-	// work-stealing partitioner (a subset of HostParRegions).
+	// StealRegions is always zero: the work-stealing partitioner it
+	// counted is gone. It stays only because the perfbench module reads
+	// it for its dbm.steal_regions metric; both go together when that
+	// benchmark next changes.
 	StealRegions int64
 	SeqFallbacks int64
 	CacheFlushes int64
@@ -197,22 +182,12 @@ type Executor struct {
 	// caches[t] is thread t's private code cache.
 	caches []map[uint64]*tblock
 	// charged[t] records the blocks whose translation cost has been
-	// charged to guest thread t. For the sequential, round-robin and
-	// static-chunk host-parallel paths this always mirrors caches[t] (a
-	// block is charged exactly when it is first translated), so
-	// charging behaviour is unchanged; the work-stealing engine
-	// executes blocks from worker-private stealCaches and charges
-	// owners deterministically through this set instead (see steal.go).
+	// charged to guest thread t. It mirrors caches[t] (a block is
+	// charged exactly when it is first translated) except after a
+	// speculation recovery, which drops the code caches but keeps the
+	// charges that stand, so re-translating a charged block is free
+	// (see recover.go).
 	charged []map[uint64]bool
-	// stealCaches[w] is worker w's code cache for work-stealing
-	// regions, kept separate from caches so the charged sets above stay
-	// exactly "the blocks a static-chunk run would have translated".
-	stealCaches []map[uint64]*tblock
-	// stealActive is set while a work-stealing region runs; stealMu
-	// then guards the charged sets (which are single-goroutine
-	// otherwise).
-	stealActive bool
-	stealMu     sync.Mutex
 	// lastBlk[t] is the block thread t executed last, the anchor for
 	// block linking in blockFor. Entries are only ever touched by the
 	// owning thread, so host-parallel threads never contend.
@@ -277,8 +252,7 @@ type Executor struct {
 	// chargeUndo[t] journals the block addresses first charged to guest
 	// thread t inside the active speculative region, so a recovery can
 	// undo exactly those charges. Appended lock-free by the owning
-	// thread on the static host-parallel path and under stealMu on the
-	// stealing path; drained on the orchestrating goroutine.
+	// thread; drained on the orchestrating goroutine.
 	chargeUndo [][]uint64
 
 	// Per-thread transaction state (index = thread ID). txSpare keeps a
@@ -314,7 +288,6 @@ func New(exe *obj.Executable, s *rules.Schedule, cfg Config, libs ...*obj.Librar
 		Cfg:         cfg,
 		caches:      make([]map[uint64]*tblock, cfg.Threads),
 		charged:     make([]map[uint64]bool, cfg.Threads),
-		stealCaches: make([]map[uint64]*tblock, cfg.Threads),
 		lastBlk:     make([]*tblock, cfg.Threads),
 		views:       make([]*vm.MemView, cfg.Threads),
 		hostParScan: map[int32]map[uint64]bool{},
@@ -337,7 +310,6 @@ func New(exe *obj.Executable, s *rules.Schedule, cfg Config, libs ...*obj.Librar
 	for i := range ex.caches {
 		ex.caches[i] = map[uint64]*tblock{}
 		ex.charged[i] = map[uint64]bool{}
-		ex.stealCaches[i] = map[uint64]*tblock{}
 		ex.views[i] = m.Mem.NewView()
 	}
 	for _, r := range s.Rules {

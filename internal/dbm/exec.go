@@ -43,9 +43,6 @@ func (ex *Executor) stepBlock(t *jrt.Thread) error {
 			}
 			return ErrScanEscaped
 		}
-		if ex.stealActive {
-			ex.chargeStealOwner(t, b)
-		}
 	}
 	ex.lastBlk[t.ID] = b
 	t.Ctx.Cycles += ex.Cfg.Cost.Dispatch

@@ -17,9 +17,7 @@ import (
 )
 
 // runEngine executes one workload under a statically-parallelised DBM
-// with the given engine selection. Work stealing is pinned off: these
-// tests compare the two static-chunk engines (steal_test.go covers the
-// work-stealing partitioner).
+// with the given engine selection.
 func runEngine(t *testing.T, name string, hostParallel bool) *dbm.Result {
 	t.Helper()
 	exe, libs, err := workloads.Build(name, workloads.Train, workloads.O3)
@@ -37,7 +35,6 @@ func runEngine(t *testing.T, name string, hostParallel bool) *dbm.Result {
 	}
 	cfg := dbm.DefaultConfig(8)
 	cfg.HostParallel = hostParallel
-	cfg.WorkStealing = false
 	ex, err := dbm.New(exe, sched, cfg, libs...)
 	if err != nil {
 		t.Fatal(err)
@@ -49,11 +46,10 @@ func runEngine(t *testing.T, name string, hostParallel bool) *dbm.Result {
 	return res
 }
 
-// sansEngineStats clears the only stats that legitimately differ
+// sansEngineStats clears the only stat that legitimately differs
 // between the engines: which of them ran the regions.
 func sansEngineStats(s dbm.Stats) dbm.Stats {
 	s.HostParRegions = 0
-	s.StealRegions = 0
 	return s
 }
 

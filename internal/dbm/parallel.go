@@ -87,10 +87,10 @@ func (ex *Executor) runParallelLoop(mainT *jrt.Thread, r rules.Rule) (*redirect,
 	// virtual clocks and memory images; the host-parallel engine is
 	// chosen only when the static eligibility scan proves the loop body
 	// free of cross-thread interactions the round-robin schedule would
-	// otherwise order (see hostpar.go). Speculative engines run under
-	// an undo log and fall back to round-robin on any failure (see
-	// recover.go), so a recovered region renders exactly what a pure
-	// round-robin run renders.
+	// otherwise order (see hostpar.go). It runs under an undo log and
+	// falls back to round-robin on any failure (see recover.go), so a
+	// recovered region renders exactly what a pure round-robin run
+	// renders.
 	ex.loop = lc
 	ex.inParallel = true
 	ex.Stats.ParRegions++
@@ -99,7 +99,7 @@ func (ex *Executor) runParallelLoop(mainT *jrt.Thread, r rules.Rule) (*redirect,
 	var engineErr error
 	if scanned := ex.hostParEligible(r.LoopID, ld.LoopStart); scanned != nil {
 		ex.Stats.HostParRegions++
-		threads, engineErr = ex.runRegionRecoverable(r, threads, lc, ld, ubd, entry, n, chunks, scanned)
+		threads, engineErr = ex.runRegionRecoverable(r, threads, lc, ld, ubd, entry, chunks, scanned)
 	} else {
 		engineErr = ex.runRegionRoundRobin(r.LoopID, threads, lc)
 	}

@@ -9,16 +9,16 @@ import (
 
 // Region-level speculation recovery.
 //
-// The speculative engines (hostpar.go, steal.go) run a region
-// concurrently only after the eligibility scan proves the threads
-// cannot observe each other — but the backstops that enforce that
-// proof at runtime (the allowlist, the shared step budget, panic
-// containment) can still trip. Rather than abort the run, the region
-// is executed under an undo log and re-executed deterministically:
+// The host-parallel engine (hostpar.go) runs a region concurrently
+// only after the eligibility scan proves the threads cannot observe
+// each other — but the backstops that enforce that proof at runtime
+// (the allowlist, the shared step budget, panic containment) can
+// still trip. Rather than abort the run, the region is executed under
+// an undo log and re-executed deterministically:
 //
 //	snapshot memory (vm.Checkpoint, copy-on-first-write)
 //	arm the fault injector, journal translation charges
-//	run the speculative engine
+//	run the host-parallel engine
 //	on success: discard the snapshot and the journal
 //	on ANY failure: restore memory, undo the journaled charges,
 //	  drop the region caches, rebuild the guest threads, demote the
@@ -40,7 +40,7 @@ import (
 //     jrt.Threads are dropped unfolded and rebuilt from the loop-entry
 //     snapshot, so no counter or register from the failed attempt
 //     survives.
-//   - Translation charges: blockFor/chargeStealOwner journal every
+//   - Translation charges: blockFor journals every
 //     (thread, block) pair first charged inside the region; rollback
 //     deletes exactly those entries, so the re-execution re-charges
 //     them just as a from-scratch round-robin run would.
@@ -52,21 +52,14 @@ import (
 //     from inside a host-parallel region by construction (profilers
 //     are ineligible, syscalls/TX trip the allowlist before running).
 
-// runRegionRecoverable executes an eligible region under a speculative
+// runRegionRecoverable executes an eligible region on the host-parallel
 // engine with full undo, falling back to the round-robin engine on any
 // failure. It returns the threads that actually produced the region's
 // result (the rebuilt set when recovery ran).
-func (ex *Executor) runRegionRecoverable(r rules.Rule, threads []*jrt.Thread, lc *jrt.LoopCtx, ld rules.LoopInitData, ubd rules.UpdateBoundData, entry func(guest.Reg) uint64, n int64, chunks []jrt.Chunk, scanned map[uint64]bool) ([]*jrt.Thread, error) {
+func (ex *Executor) runRegionRecoverable(r rules.Rule, threads []*jrt.Thread, lc *jrt.LoopCtx, ld rules.LoopInitData, ubd rules.UpdateBoundData, entry func(guest.Reg) uint64, chunks []jrt.Chunk, scanned map[uint64]bool) ([]*jrt.Thread, error) {
 	cp := ex.M.Mem.Snapshot()
 	ex.inj.Arm()
-	var specErr error
-	if ex.stealEligible(r.LoopID, ld) {
-		ex.Stats.StealRegions++
-		specErr = ex.runRegionStealing(r.LoopID, threads, lc, ld, ubd, entry, n, scanned)
-	} else {
-		specErr = ex.runRegionHostParallel(r.LoopID, threads, lc, scanned)
-	}
-	if specErr == nil {
+	if err := ex.runRegionHostParallel(r.LoopID, threads, lc, scanned); err == nil {
 		cp.Discard()
 		ex.commitCharges()
 		return threads, nil
@@ -150,7 +143,6 @@ func (ex *Executor) rollbackCharges() {
 func (ex *Executor) clearRegionCaches() {
 	for i := range ex.caches {
 		ex.caches[i] = map[uint64]*tblock{}
-		ex.stealCaches[i] = map[uint64]*tblock{}
 		ex.lastBlk[i] = nil
 	}
 }

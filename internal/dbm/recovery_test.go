@@ -1,6 +1,6 @@
 package dbm_test
 
-// Recovery tests for the speculative region engines: under every
+// Recovery tests for the host-parallel region engine: under every
 // deterministic fault-injection point, a run whose speculative regions
 // fail must roll back, re-execute round-robin and finish bit-identical
 // to a run that never left the round-robin engine — same simulated
@@ -19,9 +19,9 @@ import (
 	"janus/internal/workloads"
 )
 
-// runInjected executes one workload with a speculative engine armed
-// with the given injection plan.
-func runInjected(t *testing.T, name string, stealing bool, plan *faultinject.Plan) *dbm.Result {
+// runInjected executes one workload with the host-parallel engine
+// armed with the given injection plan.
+func runInjected(t *testing.T, name string, plan *faultinject.Plan) *dbm.Result {
 	t.Helper()
 	exe, libs, err := workloads.Build(name, workloads.Train, workloads.O3)
 	if err != nil {
@@ -38,7 +38,6 @@ func runInjected(t *testing.T, name string, stealing bool, plan *faultinject.Pla
 	}
 	cfg := dbm.DefaultConfig(8)
 	cfg.HostParallel = true
-	cfg.WorkStealing = stealing
 	cfg.Inject = plan
 	ex, err := dbm.New(exe, sched, cfg, libs...)
 	if err != nil {
@@ -69,33 +68,30 @@ var injectionSpecs = []string{"scan-defeat", "worker-panic", "stall", "budget"}
 func TestRecoveryBitIdenticalPerPoint(t *testing.T) {
 	rr := runEngine(t, "470.lbm", false)
 	for _, spec := range injectionSpecs {
-		for _, tc := range []struct {
-			engine   string
-			stealing bool
-		}{{"static", false}, {"steal", true}} {
-			t.Run(spec+"/"+tc.engine, func(t *testing.T) {
-				plan, err := faultinject.ParsePlan(spec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				inj := runInjected(t, "470.lbm", tc.stealing, plan)
-				if inj.Stats.ParRecoveries == 0 {
-					t.Fatalf("injection %q never triggered a recovery (stats %+v)", spec, inj.Stats)
-				}
-				if inj.Stats.DemotedLoops == 0 {
-					t.Errorf("recovery ran %d times but demoted no loop", inj.Stats.ParRecoveries)
-				}
-				if inj.Stats.DemotedLoops > inj.Stats.ParRecoveries {
-					t.Errorf("more demotions (%d) than recoveries (%d)", inj.Stats.DemotedLoops, inj.Stats.ParRecoveries)
-				}
-				if !sameResult(rr, inj) {
-					t.Errorf("recovered run diverges from round-robin:\n round-robin %+v\n   recovered %+v", rr.Result, inj.Result)
-				}
-				if sansRecoveryStats(rr.Stats) != sansRecoveryStats(inj.Stats) {
-					t.Errorf("stats diverge after recovery:\n round-robin %+v\n   recovered %+v", rr.Stats, inj.Stats)
-				}
-			})
-		}
+		// The "static" element names the engine under injection: the
+		// static-chunk host-parallel engine.
+		t.Run(spec+"/static", func(t *testing.T) {
+			plan, err := faultinject.ParsePlan(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inj := runInjected(t, "470.lbm", plan)
+			if inj.Stats.ParRecoveries == 0 {
+				t.Fatalf("injection %q never triggered a recovery (stats %+v)", spec, inj.Stats)
+			}
+			if inj.Stats.DemotedLoops == 0 {
+				t.Errorf("recovery ran %d times but demoted no loop", inj.Stats.ParRecoveries)
+			}
+			if inj.Stats.DemotedLoops > inj.Stats.ParRecoveries {
+				t.Errorf("more demotions (%d) than recoveries (%d)", inj.Stats.DemotedLoops, inj.Stats.ParRecoveries)
+			}
+			if !sameResult(rr, inj) {
+				t.Errorf("recovered run diverges from round-robin:\n round-robin %+v\n   recovered %+v", rr.Result, inj.Result)
+			}
+			if sansRecoveryStats(rr.Stats) != sansRecoveryStats(inj.Stats) {
+				t.Errorf("stats diverge after recovery:\n round-robin %+v\n   recovered %+v", rr.Stats, inj.Stats)
+			}
+		})
 	}
 }
 
@@ -110,7 +106,7 @@ func TestRecoverySparseInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := runInjected(t, "433.milc", true, plan)
+	inj := runInjected(t, "433.milc", plan)
 	if inj.Stats.ParRecoveries == 0 {
 		t.Fatal("sparse injection never triggered a recovery")
 	}
@@ -134,9 +130,9 @@ func TestRecoveryDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(prev)
 
 	runtime.GOMAXPROCS(1)
-	one := runInjected(t, "470.lbm", true, plan)
+	one := runInjected(t, "470.lbm", plan)
 	runtime.GOMAXPROCS(max(runtime.NumCPU(), 4))
-	many := runInjected(t, "470.lbm", true, plan)
+	many := runInjected(t, "470.lbm", plan)
 
 	if !sameResult(one, many) {
 		t.Errorf("recovered results differ across GOMAXPROCS:\n 1: %+v\n n: %+v", one.Result, many.Result)

@@ -12,10 +12,9 @@ import (
 // golden fixture pins — so the full Result, stats included, can be
 // stored on disk and replayed. Engine-selection knobs must be part of
 // the cache key: virtual-cycle results are bit-identical across
-// engines, but engine-attribution counters (HostParRegions,
-// StealRegions) are not. See janus's cache glue for the key layout;
-// changing Result or Stats fields must bump the artifact kind tag
-// there.
+// engines, but the engine-attribution counter (HostParRegions) is
+// not. See janus's cache glue for the key layout; changing Result or
+// Stats fields must bump the artifact kind tag there.
 
 // EncodeResult serialises r for the artifact cache.
 func EncodeResult(r *Result) ([]byte, error) {

@@ -26,7 +26,6 @@ func TestResultEncodeDecodeRoundTrip(t *testing.T) {
 			Invocations:    4,
 			ParRegions:     3,
 			HostParRegions: 3,
-			StealRegions:   1,
 			SeqFallbacks:   1,
 			ParRecoveries:  2,
 			DemotedLoops:   1,

@@ -59,11 +59,6 @@ type tblock struct {
 	// needs no synchronisation.
 	scanLoop int32
 	scanOK   bool
-	// chargeMask caches, one bit per guest-thread owner, that this
-	// block's translation cost has already been charged to that owner
-	// (work-stealing regions only; see chargeStealOwner). Blocks are
-	// thread-private, so stamping needs no synchronisation.
-	chargeMask uint64
 	// linkPC/linkBlk form a two-entry inline cache mapping this block's
 	// observed successor addresses to their translated blocks (the
 	// DBM's block linking): a taken/not-taken pair covers a conditional
@@ -91,9 +86,6 @@ func (ex *Executor) blockFor(t *jrt.Thread, addr uint64) (*tblock, error) {
 		}
 	}
 	cache := ex.caches[t.ID]
-	if ex.stealActive {
-		cache = ex.stealCaches[t.ID]
-	}
 	b, ok := cache[addr]
 	if !ok {
 		var err error
@@ -105,13 +97,9 @@ func (ex *Executor) blockFor(t *jrt.Thread, addr uint64) (*tblock, error) {
 		// Translation stats accumulate on the thread (folded into
 		// ex.Stats at deterministic points) so host-parallel threads
 		// translating concurrently never touch shared counters. The
-		// charged set keeps the charge unique per guest thread even
-		// when a work-stealing region already charged this owner for
-		// the block (in which case the static engines would have found
-		// it warm in the owner's cache). Work-stealing regions fill
-		// worker-private stealCaches uncharged here and charge owners
-		// deterministically in chargeStealOwner instead.
-		if !ex.stealActive && !ex.charged[t.ID][addr] {
+		// charged set keeps the charge unique per guest thread when a
+		// recovery dropped the caches of an already-charged block.
+		if !ex.charged[t.ID][addr] {
 			ex.charged[t.ID][addr] = true
 			if ex.hostParActive {
 				// Journal charges made inside a speculative region so a
@@ -227,7 +215,6 @@ func (ex *Executor) applyRule(it *titem, r rules.Rule) {
 func (ex *Executor) flushCaches() {
 	for i := range ex.caches {
 		ex.caches[i] = map[uint64]*tblock{}
-		ex.stealCaches[i] = map[uint64]*tblock{}
 		ex.charged[i] = map[uint64]bool{}
 		ex.lastBlk[i] = nil
 	}

@@ -29,9 +29,8 @@ func Specs() []Spec {
 		{"ExecInst", benchExecInst},
 		{"RunNative", benchRunNative},
 		{"STM", benchSTM},
-		{"RegionRoundRobin", benchRegion(false, false)},
-		{"RegionHostParallel", benchRegion(true, false)},
-		{"RegionStealing", benchRegion(true, true)},
+		{"RegionRoundRobin", benchRegion(false)},
+		{"RegionHostParallel", benchRegion(true)},
 	}
 }
 
@@ -129,10 +128,10 @@ func benchRunNative(b *testing.B) {
 
 // benchRegion measures a full statically-parallelised DBM run of the
 // lbm train workload (dominated by DOALL parallel regions) under the
-// selected region engine, so the snapshot tracks the round-robin,
-// static host-parallel and work-stealing engines. Simulated results
-// are bit-identical between all three; only host time differs.
-func benchRegion(hostParallel, stealing bool) func(b *testing.B) {
+// selected region engine, so the snapshot tracks the round-robin and
+// host-parallel engines. Simulated results are bit-identical between
+// the two; only host time differs.
+func benchRegion(hostParallel bool) func(b *testing.B) {
 	return func(b *testing.B) {
 		exe, libs, err := workloads.Build("470.lbm", workloads.Train, workloads.O3)
 		if err != nil {
@@ -152,7 +151,6 @@ func benchRegion(hostParallel, stealing bool) func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			cfg := dbm.DefaultConfig(8)
 			cfg.HostParallel = hostParallel
-			cfg.WorkStealing = stealing
 			ex, err := dbm.New(exe, sched, cfg, libs...)
 			if err != nil {
 				b.Fatal(err)

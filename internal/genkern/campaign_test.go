@@ -178,7 +178,7 @@ func TestCampaignEntriesRoundTrip(t *testing.T) {
 		seed:  12345,
 		iter:  42,
 		cells: []Cell{
-			{Kind: KindCarried, DistBucket: 2, Alias: aliasNone, Verdict: 2, Engine: engineStealing},
+			{Kind: KindCarried, DistBucket: 2, Alias: aliasNone, Verdict: 2, Engine: engineHostParallel},
 			{Kind: KindIndexChase, DistBucket: 0, Alias: aliasCollide, Verdict: 3, Engine: engineNone, Recovered: true},
 		},
 	}

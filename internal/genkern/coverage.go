@@ -68,13 +68,12 @@ func aliasLayout(s Seg) uint8 {
 	return aliasNone
 }
 
-// Engine-taken codes (kernel granularity: the work-stealing run's
-// region counters say which tier the parallel regions reached).
+// Engine-taken codes (kernel granularity: the highest tier any engine
+// run's region counters reached).
 const (
 	engineNone uint8 = iota
 	engineRoundRobin
 	engineHostParallel
-	engineStealing
 )
 
 func (c Cell) String() string {
@@ -96,9 +95,7 @@ func CellsOf(shape Shape, rep *Report) []Cell {
 			recovered = true
 		}
 		e := engineNone
-		if run.Stats.StealRegions > 0 {
-			e = engineStealing
-		} else if run.Stats.HostParRegions > 0 {
+		if run.Stats.HostParRegions > 0 {
 			e = engineHostParallel
 		} else if run.Stats.ParRegions > 0 {
 			e = engineRoundRobin

@@ -20,7 +20,7 @@ type Options struct {
 	// to static-DOALL after analysis — a planted soundness bug the
 	// engine-versus-native oracle must catch. Used by the self-test.
 	PlantDOALL bool
-	// Recovery additionally runs the work-stealing engine under
+	// Recovery additionally runs the host-parallel engine under
 	// scan-defeat fault injection, exercising the checkpoint/rollback/
 	// re-execute recovery path; the output must still match native.
 	Recovery bool
@@ -45,7 +45,9 @@ type EngineRun struct {
 	Name     string
 	Cycles   int64
 	DataHash uint64
-	Stats    dbm.Stats
+	// MemHash covers the full image, worker stacks and TLS included.
+	MemHash uint64
+	Stats   dbm.Stats
 }
 
 // Report is the outcome of one kernel's differential run.
@@ -131,11 +133,13 @@ func DiffShape(shape Shape, seed uint64, o Options) (*Report, error) {
 //  2. the dependence profiler runs on the training build and must
 //     observe exactly the dependences the generator planted (a miss or
 //     a false positive is fatal),
-//  3. the program executes under the round-robin, host-parallel and
-//     work-stealing engines; all three must match native output and
-//     final data hash byte-for-byte, agree on virtual cycles, and —
-//     because selection may only pick truly independent loops — report
-//     zero STM aborts and zero speculation recoveries.
+//  3. the program executes under the round-robin and host-parallel
+//     engines; both must match native output and final data hash
+//     byte-for-byte, agree on virtual cycles and on the full-image
+//     memory hash, and — because selection may only pick truly
+//     independent loops — report zero STM aborts and zero speculation
+//     recoveries. With Options.Recovery, a host-parallel run under
+//     injection must also match native and leave the same full image.
 //
 // Every violation carries a one-line repro command naming the seed.
 func RunDiff(k *Kernel, o Options) (*Report, error) {
@@ -270,27 +274,24 @@ func RunDiff(k *Kernel, o Options) (*Report, error) {
 		return nil, k.failf("native baseline: %v", err)
 	}
 
-	// Engine matrix: the deterministic round-robin engine, the
-	// host-parallel engine with static chunking, and the work-stealing
-	// engine. All three must agree with native and with each other.
+	// Engine matrix: the deterministic round-robin engine and the
+	// host-parallel engine. Both must agree with native and with each
+	// other.
 	type engineCfg struct {
 		name         string
 		hostParallel bool
-		stealing     bool
 		inject       string
 	}
 	cfgs := []engineCfg{
 		{name: "round-robin"},
 		{name: "host-parallel", hostParallel: true},
-		{name: "work-stealing", hostParallel: true, stealing: true},
 	}
 	if o.Recovery {
-		cfgs = append(cfgs, engineCfg{name: "work-stealing+inject", hostParallel: true, stealing: true, inject: "scan-defeat"})
+		cfgs = append(cfgs, engineCfg{name: "host-parallel+inject", hostParallel: true, inject: "scan-defeat"})
 	}
 	for _, ec := range cfgs {
 		dcfg := dbm.DefaultConfig(o.Threads)
 		dcfg.HostParallel = ec.hostParallel
-		dcfg.WorkStealing = ec.stealing
 		if ec.inject != "" {
 			plan, perr := faultinject.ParsePlan(ec.inject)
 			if perr != nil {
@@ -306,7 +307,7 @@ func RunDiff(k *Kernel, o Options) (*Report, error) {
 		if err != nil {
 			return nil, k.failf("%s: DBM run: %v", ec.name, err)
 		}
-		run := EngineRun{Name: ec.name, Cycles: res.Cycles, DataHash: ex.DataHash(), Stats: res.Stats}
+		run := EngineRun{Name: ec.name, Cycles: res.Cycles, DataHash: ex.DataHash(), MemHash: res.MemHash, Stats: res.Stats}
 		rep.Engines = append(rep.Engines, run)
 
 		// Lattice invariant 4 (execution): byte-identical behaviour.
@@ -347,6 +348,12 @@ func RunDiff(k *Kernel, o Options) (*Report, error) {
 	// Cross-engine agreement on the simulated timeline.
 	base := rep.Engines[0]
 	for _, run := range rep.Engines[1:] {
+		// Worker scratch belongs to the thread that owns the chunk on
+		// every engine, and recovery restores the region's checkpoint,
+		// so even the injected run leaves the same full image.
+		if run.MemHash != base.MemHash {
+			return nil, k.failf("DIVERGENCE: %s full memory hash %#x, %s %#x", run.Name, run.MemHash, base.Name, base.MemHash)
+		}
 		if run.Stats.ParRecoveries > 0 {
 			// The injected run re-executes regions; its timeline
 			// legitimately includes recovery cycles.

@@ -17,7 +17,7 @@ const corpusSeeds = 200
 var seedFlag = flag.Int64("genkern.seed", -1, "run the differential oracle for one generator seed only")
 
 // TestSeededCorpus runs the full differential oracle — analyzer
-// verdict vs. profiler observation vs. three-engine execution — over
+// verdict vs. profiler observation vs. two-engine execution — over
 // the fixed seeded corpus. Every failure message ends in a one-line
 // repro command naming the seed.
 func TestSeededCorpus(t *testing.T) {
@@ -137,13 +137,14 @@ func TestPlantedSoundnessBug(t *testing.T) {
 }
 
 // TestDiffDeterministicAcrossGOMAXPROCS pins the determinism contract
-// for generated kernels: the oracle's engine timelines and data hashes
-// are identical at GOMAXPROCS 1 and N.
+// for generated kernels: the oracle's engine timelines, data hashes and
+// full-image memory hashes are identical at GOMAXPROCS 1 and N.
 func TestDiffDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	seeds := []uint64{3, 7, 11}
 	type obs struct {
 		cycles   []int64
 		dataHash []uint64
+		memHash  []uint64
 	}
 	measure := func() []obs {
 		var out []obs
@@ -156,6 +157,7 @@ func TestDiffDeterministicAcrossGOMAXPROCS(t *testing.T) {
 			for _, e := range rep.Engines {
 				o.cycles = append(o.cycles, e.Cycles)
 				o.dataHash = append(o.dataHash, e.DataHash)
+				o.memHash = append(o.memHash, e.MemHash)
 			}
 			out = append(out, o)
 		}
@@ -174,6 +176,9 @@ func TestDiffDeterministicAcrossGOMAXPROCS(t *testing.T) {
 			if base[i].dataHash[j] != single[i].dataHash[j] {
 				t.Errorf("seed %d engine %d: data hash differs across GOMAXPROCS", seeds[i], j)
 			}
+			if base[i].memHash[j] != single[i].memHash[j] {
+				t.Errorf("seed %d engine %d: full memory hash differs across GOMAXPROCS", seeds[i], j)
+			}
 		}
 	}
 }
@@ -190,7 +195,7 @@ func TestRecoveryPathOnGeneratedKernels(t *testing.T) {
 			t.Fatal(err)
 		}
 		last := rep.Engines[len(rep.Engines)-1]
-		if last.Name != "work-stealing+inject" {
+		if last.Name != "host-parallel+inject" {
 			t.Fatalf("seed %d: injected engine run missing", seed)
 		}
 		if last.Stats.ParRecoveries > 0 {

@@ -13,8 +13,8 @@
 // The generator records ground truth per emitted loop (keyed by the
 // loop's header address, which the analyser rediscovers independently),
 // and diff.go cross-checks that truth against the analyser's verdict,
-// the profiler's observed dependences, and actual execution under all
-// three region engines. Any disagreement is either a missed
+// the profiler's observed dependences, and actual execution under both
+// region engines. Any disagreement is either a missed
 // parallelisation (counted) or a soundness bug (fatal, with a one-line
 // repro command naming the seed).
 package genkern
@@ -68,7 +68,7 @@ const (
 	// KindIntReduction: integer sum into a register, written via
 	// syscall after the loop (type A with a recognised reduction).
 	KindIntReduction
-	// KindFPReduction: float accumulation (type A; stealing-ineligible).
+	// KindFPReduction: float accumulation (type A).
 	KindFPReduction
 	// KindNested: row-disjoint two-level nest b[r*C+c] += a[c].
 	KindNested
@@ -520,7 +520,7 @@ func (e *emitter) aliasPair(n, d int64, must bool) {
 }
 
 // intReduction: sum a[i] into a register, write the total out. Type A
-// with a recognised integer reduction (work-stealing eligible).
+// with a recognised integer reduction.
 func (e *emitter) intReduction(n int64) {
 	a := e.sym("ired")
 	e.dataI64(a, n)
@@ -536,7 +536,7 @@ func (e *emitter) intReduction(n int64) {
 	f.Syscall()
 }
 
-// fpReduction: float accumulation (type A; excluded from stealing).
+// fpReduction: float accumulation (type A).
 func (e *emitter) fpReduction(n int64) {
 	a := e.sym("fred")
 	e.dataF64(a, n)

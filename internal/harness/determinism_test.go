@@ -4,10 +4,10 @@ package harness
 // is computed from virtual cycles and folded back in a fixed order, so
 // the rendered janus-bench output must be byte-identical whatever the
 // host concurrency — GOMAXPROCS=1 vs all cores, row scheduling at any
-// -jobs bound, host-parallel vs single-goroutine round-robin regions,
-// and work-stealing vs static partitioning. golden_test.go pins the
-// whole suite against the committed fixture; these tests pin one
-// figure across the engine axes for a fast, focused signal.
+// -jobs bound, and host-parallel vs single-goroutine round-robin
+// regions. golden_test.go pins the whole suite against the committed
+// fixture; these tests pin one figure across the engine axes for a
+// fast, focused signal.
 
 import (
 	"runtime"
@@ -50,15 +50,6 @@ func TestFigure7ByteIdenticalAcrossEngines(t *testing.T) {
 	rr.SingleGoroutine = true
 	if got, want := renderFigure7(t, rr), renderFigure7(t, hp); got != want {
 		t.Errorf("figure 7 output differs between engines:\n--- host-parallel ---\n%s\n--- round-robin ---\n%s", want, got)
-	}
-}
-
-func TestFigure7ByteIdenticalAcrossPartitioners(t *testing.T) {
-	steal := DefaultOptions()
-	static := DefaultOptions()
-	static.StaticPartition = true
-	if got, want := renderFigure7(t, static), renderFigure7(t, steal); got != want {
-		t.Errorf("figure 7 output differs between partitioners:\n--- stealing ---\n%s\n--- static ---\n%s", want, got)
 	}
 }
 

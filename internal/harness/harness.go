@@ -7,9 +7,9 @@
 // bounded worker pool (see scheduler.go and RenderAll). Every figure
 // is computed from deterministic virtual cycles and folded back in a
 // fixed order, so the rendered output is byte-identical whatever the
-// Options engine selection (host-parallel or round-robin regions,
-// work-stealing or static partitioning), the Jobs bound, and the host
-// GOMAXPROCS; determinism_test.go and golden_test.go pin all of it.
+// Options engine selection (host-parallel or round-robin regions), the
+// Jobs bound, and the host GOMAXPROCS; determinism_test.go and
+// golden_test.go pin all of it.
 package harness
 
 import (
@@ -37,10 +37,9 @@ const DefaultThreads = 8
 // Options is one harness run's configuration. Experiments receive it
 // per call — nothing is process-global — so concurrent experiments
 // with different options cannot leak engine selection into each other.
-// The engine switches follow janus.Config's convention: the zero value
-// selects the default engines (host-parallel regions, work-stealing
-// partitioner), so a hand-built Options never silently downgrades to
-// the slow paths.
+// The engine switch follows janus.Config's convention: the zero value
+// selects the default engine (host-parallel regions), so a hand-built
+// Options never silently downgrades to the slow path.
 type Options struct {
 	// Threads is the guest thread count experiments measure at
 	// (figures 8/9 additionally sweep below it).
@@ -53,10 +52,6 @@ type Options struct {
 	// engine instead of running eligible regions on host goroutines
 	// (janus-bench -host-parallel=false).
 	SingleGoroutine bool
-	// StaticPartition forces static equal chunking inside
-	// host-parallel regions instead of the work-stealing partitioner
-	// (janus-bench -steal=false).
-	StaticPartition bool
 	// Inject arms deterministic fault injection inside speculative
 	// regions (janus-bench -inject). Injected faults recover onto the
 	// round-robin engine, so rendered output stays byte-identical; the
@@ -136,18 +131,12 @@ func (o Options) normalized() Options {
 // plan to one Janus configuration.
 func (o Options) engineConfig(c janus.Config) janus.Config {
 	c.SingleGoroutine = o.SingleGoroutine
-	c.StaticPartition = o.StaticPartition
 	c.Inject = o.Inject
 	c.Cache = o.cache
 	if o.Recovery != nil {
 		c.OnStats = o.Recovery.Fold
 	}
 	return c
-}
-
-// compilerEngine is the same selection for the modelled compilers.
-func (o Options) compilerEngine() compilers.Engine {
-	return compilers.Engine{HostParallel: !o.SingleGoroutine, WorkStealing: !o.StaticPartition}
 }
 
 // buildRef builds the ref-input O3 binary for a benchmark, through the
@@ -717,11 +706,11 @@ func figure11(o Options, s *scheduler) ([]Fig11Row, error) {
 		if err != nil {
 			return err
 		}
-		gccAuto, err := compilers.Parallelise(compilers.GCC, gccExe, o.Threads, o.compilerEngine(), libs...)
+		gccAuto, err := compilers.Parallelise(compilers.GCC, gccExe, o.Threads, !o.SingleGoroutine, libs...)
 		if err != nil {
 			return fmt.Errorf("%s gcc: %w", name, err)
 		}
-		iccAuto, err := compilers.Parallelise(compilers.ICC, iccExe, o.Threads, o.compilerEngine(), libs...)
+		iccAuto, err := compilers.Parallelise(compilers.ICC, iccExe, o.Threads, !o.SingleGoroutine, libs...)
 		if err != nil {
 			return fmt.Errorf("%s icc: %w", name, err)
 		}

@@ -118,10 +118,9 @@ type Request struct {
 	// Threads and Jobs mirror harness.Options (zero = defaults).
 	Threads int `json:"threads,omitempty"`
 	Jobs    int `json:"jobs,omitempty"`
-	// SingleGoroutine / StaticPartition force the deterministic engine
-	// variants; rendered bytes are identical either way.
+	// SingleGoroutine forces the round-robin region engine; rendered
+	// bytes are identical either way.
 	SingleGoroutine bool `json:"single_goroutine,omitempty"`
-	StaticPartition bool `json:"static_partition,omitempty"`
 	// Inject arms region-level fault injection inside this request's
 	// renders (spec grammar of janus-bench -inject).
 	Inject string `json:"inject,omitempty"`
@@ -143,7 +142,6 @@ func (r Request) options(cacheDir string, rec *harness.RecoveryLog, onProgress f
 		o.Jobs = r.Jobs
 	}
 	o.SingleGoroutine = r.SingleGoroutine
-	o.StaticPartition = r.StaticPartition
 	o.CacheDir = cacheDir
 	o.Recovery = rec
 	o.OnProgress = onProgress

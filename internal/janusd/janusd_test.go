@@ -516,7 +516,9 @@ func TestDrainDeadlineCancels(t *testing.T) {
 // typed 400s before touching the pool.
 func TestBadRequests(t *testing.T) {
 	s, base, _ := startServer(t, Config{Workers: 1})
-	for _, body := range []string{`{bad json`, `{"nope":1}`, `{"inject":"not-a-point"}`} {
+	// static_partition is a removed field: a client still sending it
+	// must learn the knob is gone, not have it silently ignored.
+	for _, body := range []string{`{bad json`, `{"nope":1}`, `{"inject":"not-a-point"}`, `{"fig":7,"static_partition":true}`} {
 		res, payload := postJSON(t, base+"/v1/render", body)
 		if res.StatusCode != http.StatusBadRequest {
 			t.Fatalf("body %q: status %d: %s", body, res.StatusCode, payload)

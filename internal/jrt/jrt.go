@@ -1,8 +1,7 @@
 // Package jrt is the Janus runtime: the thread pool, per-thread loop
 // contexts and private resources (stack, TLS, private storage slots),
-// iteration-space partitioning for the chunked, work-stealing and
-// round-robin scheduling policies, and reduction identity/merge
-// arithmetic.
+// iteration-space partitioning for the chunked and round-robin
+// scheduling policies, and reduction identity/merge arithmetic.
 //
 // The paper's runtime keeps a pool of OS threads that wait for
 // THREAD_SCHEDULE and return on THREAD_YIELD. Here threads are
@@ -87,12 +86,6 @@ type Thread struct {
 	// (the only thread allowed to commit transactions).
 	Oldest bool
 
-	// Owner is the guest thread owning the subchunk this context is
-	// currently executing inside a work-stealing region (equal to ID
-	// outside such regions). Translation costs are charged per owner so
-	// folded counters match static chunking.
-	Owner int
-
 	// Steps counts instructions executed by this thread since the DBM
 	// last folded it into its global step budget. Accumulated
 	// thread-locally so host-parallel threads never contend on (or
@@ -150,55 +143,6 @@ func PartitionChunked(n int64, parts int) []Chunk {
 			hi = n
 		}
 		out[i] = Chunk{Lo: lo, Hi: hi}
-	}
-	return out
-}
-
-// StealFactor is the target number of work-stealing subchunks per
-// thread: PartitionStealing subdivides each static chunk into up to
-// this many pieces, giving idle host workers pieces to steal without
-// changing the guest-visible partition.
-const StealFactor = 4
-
-// StealChunk is one work-stealing unit: a contiguous subrange of one
-// guest thread's static chunk. Owner is the thread whose
-// PartitionChunked chunk contains the range; the executor folds every
-// subchunk's virtual-cycle cost back into its owner, so simulated
-// results are bit-identical to static chunking however the host
-// schedules subchunks.
-type StealChunk struct {
-	Owner int
-	Chunk
-}
-
-// PartitionStealing subdivides each PartitionChunked(n, parts) chunk
-// into up to factor equal pieces, returned in deterministic ascending
-// order (owner-major, then Lo). Empty pieces are omitted; the returned
-// ranges cover [0, n) exactly, and the union of one owner's pieces is
-// exactly that owner's PartitionChunked chunk.
-func PartitionStealing(n int64, parts, factor int) []StealChunk {
-	if factor < 1 {
-		factor = 1
-	}
-	base := PartitionChunked(n, parts)
-	out := make([]StealChunk, 0, len(base)*factor)
-	for owner, c := range base {
-		size := c.Hi - c.Lo
-		if size <= 0 {
-			continue
-		}
-		pieces := int64(factor)
-		if size < pieces {
-			pieces = size
-		}
-		step := (size + pieces - 1) / pieces
-		for lo := c.Lo; lo < c.Hi; lo += step {
-			hi := lo + step
-			if hi > c.Hi {
-				hi = c.Hi
-			}
-			out = append(out, StealChunk{Owner: owner, Chunk: Chunk{Lo: lo, Hi: hi}})
-		}
 	}
 	return out
 }

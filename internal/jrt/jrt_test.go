@@ -51,10 +51,10 @@ func TestPartitionChunkedBalance(t *testing.T) {
 	}
 }
 
-// TestPartitionTable drives both partitioners over the edge cases that
-// matter for the region engines: every returned partition must cover
-// [0, n) exactly once in ascending order, owners must agree between
-// the two partitioners, and repeated calls must be deterministic.
+// TestPartitionTable drives the chunked partitioner over the edge
+// cases that matter for the region engines: the partition must cover
+// [0, n) exactly once in ascending order, and repeated calls must be
+// deterministic.
 func TestPartitionTable(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -77,108 +77,37 @@ func TestPartitionTable(t *testing.T) {
 			if len(static) != tc.threads {
 				t.Fatalf("PartitionChunked returned %d chunks for %d threads", len(static), tc.threads)
 			}
-			assertCovers(t, "static", tc.n, func(yield func(Chunk, int)) {
-				for o, c := range static {
-					yield(c, o)
-				}
-			})
-
-			steal := PartitionStealing(tc.n, tc.threads, StealFactor)
-			assertCovers(t, "stealing", tc.n, func(yield func(Chunk, int)) {
-				for _, sc := range steal {
-					yield(sc.Chunk, sc.Owner)
-				}
-			})
-			// No stealing subchunk may be empty, and each owner's pieces
-			// must reassemble exactly the owner's static chunk.
-			ownerLo := map[int]int64{}
-			ownerHi := map[int]int64{}
-			for _, sc := range steal {
-				if sc.Lo >= sc.Hi {
-					t.Fatalf("empty stealing subchunk %+v", sc)
-				}
-				if sc.Hi-sc.Lo > (static[sc.Owner].Hi-static[sc.Owner].Lo+StealFactor-1)/StealFactor {
-					t.Errorf("subchunk %+v larger than ceil(chunk/factor)", sc)
-				}
-				if _, seen := ownerLo[sc.Owner]; !seen || sc.Lo < ownerLo[sc.Owner] {
-					ownerLo[sc.Owner] = sc.Lo
-				}
-				if sc.Hi > ownerHi[sc.Owner] {
-					ownerHi[sc.Owner] = sc.Hi
-				}
-			}
-			for o, c := range static {
-				if c.Lo >= c.Hi {
-					if _, ok := ownerLo[o]; ok {
-						t.Errorf("owner %d has stealing pieces but an empty static chunk", o)
-					}
-					continue
-				}
-				if ownerLo[o] != c.Lo || ownerHi[o] != c.Hi {
-					t.Errorf("owner %d pieces span [%d,%d), static chunk is [%d,%d)", o, ownerLo[o], ownerHi[o], c.Lo, c.Hi)
-				}
-			}
+			assertCovers(t, tc.n, static)
 			// Deterministic: a second call returns the identical slice.
-			again := PartitionStealing(tc.n, tc.threads, StealFactor)
-			if len(again) != len(steal) {
-				t.Fatalf("second call returned %d chunks, first %d", len(again), len(steal))
-			}
-			for i := range steal {
-				if steal[i] != again[i] {
-					t.Fatalf("chunk %d differs between calls: %+v vs %+v", i, steal[i], again[i])
+			again := PartitionChunked(tc.n, tc.threads)
+			for i := range static {
+				if static[i] != again[i] {
+					t.Fatalf("chunk %d differs between calls: %+v vs %+v", i, static[i], again[i])
 				}
 			}
 		})
 	}
 }
 
-// assertCovers checks that the yielded chunks tile [0, n) exactly, in
-// ascending order, with owners ascending too.
-func assertCovers(t *testing.T, label string, n int64, chunks func(yield func(Chunk, int))) {
+// assertCovers checks that chunks tile [0, n) exactly, in ascending
+// order.
+func assertCovers(t *testing.T, n int64, chunks []Chunk) {
 	t.Helper()
 	next := int64(0)
-	lastOwner := -1
-	chunks(func(c Chunk, owner int) {
+	for _, c := range chunks {
 		if c.Lo > c.Hi {
-			t.Fatalf("%s: inverted chunk %+v", label, c)
+			t.Fatalf("inverted chunk %+v", c)
 		}
 		if c.Lo == c.Hi {
-			return // empty chunks occupy no iterations
+			continue // empty chunks occupy no iterations
 		}
 		if c.Lo != next {
-			t.Fatalf("%s: chunk %+v does not start at next uncovered iteration %d", label, c, next)
+			t.Fatalf("chunk %+v does not start at next uncovered iteration %d", c, next)
 		}
-		if owner < lastOwner {
-			t.Fatalf("%s: owner order regressed (%d after %d)", label, owner, lastOwner)
-		}
-		lastOwner = owner
 		next = c.Hi
-	})
+	}
 	if next != n {
-		t.Fatalf("%s: covered [0,%d), want [0,%d)", label, next, n)
-	}
-}
-
-func TestPartitionStealingFactorOne(t *testing.T) {
-	// factor 1 must degenerate to the static partition (minus empty
-	// chunks).
-	static := PartitionChunked(100, 8)
-	steal := PartitionStealing(100, 8, 1)
-	j := 0
-	for o, c := range static {
-		if c.Lo >= c.Hi {
-			continue
-		}
-		if j >= len(steal) {
-			t.Fatalf("piece %d missing: want owner %d chunk %+v", j, o, c)
-		}
-		if steal[j].Owner != o || steal[j].Chunk != c {
-			t.Fatalf("piece %d: got %+v, want owner %d chunk %+v", j, steal[j], o, c)
-		}
-		j++
-	}
-	if j != len(steal) {
-		t.Fatalf("%d extra stealing pieces", len(steal)-j)
+		t.Fatalf("covered [0,%d), want [0,%d)", next, n)
 	}
 }
 

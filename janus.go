@@ -57,17 +57,11 @@ type Config struct {
 	// results (virtual cycles, figures, memory hashes); this knob only
 	// trades host wall-clock, for debugging and engine A/B runs.
 	SingleGoroutine bool
-	// StaticPartition forces the static equal-chunk partitioner inside
-	// host-parallel regions instead of the work-stealing partitioner.
-	// Simulated results are bit-identical either way (the stealing
-	// engine folds every stolen piece back into its owning guest
-	// thread); stealing only balances host wall-clock across workers.
-	StaticPartition bool
 	// Verify compares the DBM run's outputs and memory against native
 	// execution and fails on mismatch (default true via Parallelise).
 	Verify bool
 	// Inject arms deterministic fault injection inside the DBM's
-	// speculative region engines (see internal/faultinject). Injected
+	// host-parallel region engine (see internal/faultinject). Injected
 	// faults are recovered by re-executing the region round-robin, so
 	// results — and Verify — are unaffected; Stats.ParRecoveries
 	// records that the recovery path ran. Nil disables injection at
@@ -170,7 +164,6 @@ func Parallelise(exe *obj.Executable, cfg Config, libs ...*obj.Library) (*Report
 
 	dcfg := dbm.DefaultConfig(cfg.Threads)
 	dcfg.HostParallel = !cfg.SingleGoroutine
-	dcfg.WorkStealing = !cfg.StaticPartition
 	dcfg.Inject = cfg.Inject
 	if cfg.Cost != nil {
 		dcfg.Cost = *cfg.Cost
