@@ -16,7 +16,8 @@
 //     (jrt.PartitionChunked), used when a static scan of the loop body
 //     proves the threads cannot observe each other (see hostpar.go).
 //     Per-thread code caches, memory views and counters keep the hot
-//     paths lock-free.
+//     paths lock-free, and per-thread hot state is padded to its own
+//     cache line so workers do not write lines their siblings use.
 //
 // Simulated results — virtual cycles, figures, data hashes and the
 // full-image MemHash — are bit-identical between the engines and
@@ -99,7 +100,13 @@ type Config struct {
 	// MinIterPerThread is the profitability floor: loops with fewer
 	// iterations per thread run sequentially.
 	MinIterPerThread int64
-	// MaxSteps bounds total executed instructions.
+	// MaxSteps bounds total executed instructions, and is also each
+	// parallel region's runaway backstop: a region that runs MaxSteps
+	// blocks fails with ErrRegionStuck. The host-parallel engine leases
+	// that block budget to its workers in chunks, so it may trip up to
+	// (Threads-1)*1024 blocks early; a trip is recovered by re-running
+	// the region round-robin under the exact bound, so it never yields
+	// a different result.
 	MaxSteps int64
 	// Cost is the virtual-cycle cost model.
 	Cost CostModel
@@ -163,6 +170,13 @@ type Stats struct {
 	SpecInsts  int64
 }
 
+// blkSlot is one thread's lastBlk entry, padded so that the entries of
+// different threads never share a cache line.
+type blkSlot struct {
+	b *tblock
+	_ [jrt.CacheLine]byte
+}
+
 // checkKey locates the MEM_BOUNDS_CHECK rules guarding one loop at one
 // LOOP_INIT site.
 type checkKey struct {
@@ -190,8 +204,10 @@ type Executor struct {
 	charged []map[uint64]bool
 	// lastBlk[t] is the block thread t executed last, the anchor for
 	// block linking in blockFor. Entries are only ever touched by the
-	// owning thread, so host-parallel threads never contend.
-	lastBlk []*tblock
+	// owning thread, and each is padded to its own cache line: the
+	// entry is written on every block, so unpadded neighbours would
+	// put host-parallel threads' writes on one shared line.
+	lastBlk []blkSlot
 
 	// views[t] is thread t's private memory view (software TLB +
 	// last-leaf cache) over the shared machine memory.
@@ -288,7 +304,7 @@ func New(exe *obj.Executable, s *rules.Schedule, cfg Config, libs ...*obj.Librar
 		Cfg:         cfg,
 		caches:      make([]map[uint64]*tblock, cfg.Threads),
 		charged:     make([]map[uint64]bool, cfg.Threads),
-		lastBlk:     make([]*tblock, cfg.Threads),
+		lastBlk:     make([]blkSlot, cfg.Threads),
 		views:       make([]*vm.MemView, cfg.Threads),
 		hostParScan: map[int32]map[uint64]bool{},
 		exitTargets: map[int32]map[uint64]bool{},

@@ -44,7 +44,7 @@ func (ex *Executor) stepBlock(t *jrt.Thread) error {
 			return ErrScanEscaped
 		}
 	}
-	ex.lastBlk[t.ID] = b
+	ex.lastBlk[t.ID].b = b
 	t.Ctx.Cycles += ex.Cfg.Cost.Dispatch
 	for i := range b.items {
 		it := &b.items[i]

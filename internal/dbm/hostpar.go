@@ -143,31 +143,71 @@ func (ex *Executor) scanHostParBody(loopID int32, start uint64) map[uint64]bool 
 	return set
 }
 
+// budgetLease is how many blocks a host-parallel worker draws from the
+// region's shared runaway budget at a time. Drawing down a private
+// lease keeps the per-block charge off the shared budget word, which
+// would otherwise bounce between cores on every block.
+const budgetLease = 1024
+
+// regionBudget is a host-parallel region's shared state: the block
+// budget not yet leased out, and the flag that cancels the siblings of
+// a failing thread. Each sits on its own cache line, so leasing never
+// invalidates the failed flag that every worker reads on every block.
+type regionBudget struct {
+	pool   atomic.Int64
+	_      [jrt.CacheLine]byte
+	failed atomic.Bool
+	_      [jrt.CacheLine]byte
+}
+
+// lease draws up to budgetLease blocks from the pool and returns how
+// many it got; zero means the region's budget is spent.
+func (rb *regionBudget) lease() int64 {
+	for {
+		n := rb.pool.Load()
+		if n <= 0 {
+			return 0
+		}
+		got := min(n, budgetLease)
+		if rb.pool.CompareAndSwap(n, n-got) {
+			return got
+		}
+	}
+}
+
 // runRegionHostParallel executes the region with one host goroutine per
 // guest thread. Eligibility (hostParEligible) guarantees the threads
 // share no schedule-ordered state, so each goroutine simply runs its
-// thread to its chunk exit; per-thread code caches, memory views and
-// counters keep the hot paths free of locks. Results are bit-identical
-// to runRegionRoundRobin.
+// thread to its chunk exit. Per-thread code caches, memory views and
+// counters keep the hot paths free of locks, and per-thread hot state
+// is padded to its own cache line, so a worker's per-block writes
+// never invalidate a line another worker reads (see
+// TestHostParallelLayout). Results are bit-identical to
+// runRegionRoundRobin.
 func (ex *Executor) runRegionHostParallel(loopID int32, threads []*jrt.Thread, lc *jrt.LoopCtx, scanned map[uint64]bool) error {
 	errs := make([]error, len(threads))
-	// One region-wide block budget shared by all threads, matching the
-	// round-robin engine's single per-block guard exactly, so a runaway
-	// region trips after the same MaxSteps total under either engine.
-	var budget atomic.Int64
-	budget.Store(ex.Cfg.MaxSteps)
+	// One region-wide block budget, the same MaxSteps total the
+	// round-robin engine's per-block guard allows. Workers lease it in
+	// budgetLease blocks, so a worker finding the pool empty may trip
+	// while its siblings still hold unspent leases: a host-parallel
+	// region can trip up to (Threads-1)*budgetLease blocks before the
+	// round-robin engine would. A trip only sends the region to
+	// round-robin recovery (recover.go), which re-runs it under the
+	// exact per-block guard, so it never changes a result.
+	rb := new(regionBudget)
+	rb.pool.Store(ex.Cfg.MaxSteps)
 	if ex.inj.Fire(faultinject.BudgetExhaust) {
 		// Forced budget exhaustion: every worker trips the runaway
 		// backstop on its first block.
-		budget.Store(0)
+		rb.pool.Store(0)
 	}
-	// failed cancels the siblings of a failing thread: any error sends
-	// the whole region to recovery, so their remaining work is wasted.
-	// Which threads record an error can depend on host scheduling (a
-	// sibling may finish or notice the flag first); the region's
-	// success/failure never does, and the round-robin re-execution —
-	// not the specific message — is what determines the run's outcome.
-	var failed atomic.Bool
+	// rb.failed cancels the siblings of a failing thread: any error
+	// sends the whole region to recovery, so their remaining work is
+	// wasted. Which threads record an error can depend on host
+	// scheduling (a sibling may finish or notice the flag first); the
+	// region's success/failure never does, and the round-robin
+	// re-execution — not the specific message — is what determines the
+	// run's outcome.
 	ex.hostParActive = true
 	ex.hostParSet = scanned
 	defer func() { ex.hostParActive = false; ex.hostParSet = nil }()
@@ -184,11 +224,11 @@ func (ex *Executor) runRegionHostParallel(loopID int32, threads []*jrt.Thread, l
 			// region must fail that region, never the process.
 			defer func() {
 				if p := recover(); p != nil {
-					failed.Store(true)
+					rb.failed.Store(true)
 					errs[th.ID] = panicErr(loopID, th.ID, p, debug.Stack())
 				}
 			}()
-			errs[th.ID] = ex.runThreadToExit(loopID, th, lc, &budget, &failed)
+			errs[th.ID] = ex.runThreadToExit(loopID, th, lc, rb)
 		}(th)
 	}
 	wg.Wait()
@@ -202,11 +242,14 @@ func (ex *Executor) runRegionHostParallel(loopID int32, threads []*jrt.Thread, l
 }
 
 // runThreadToExit drives one guest thread from the loop head to its
-// chunk exit, charging each block to the region's shared runaway
-// budget and abandoning the chunk once a sibling has failed.
-func (ex *Executor) runThreadToExit(loopID int32, th *jrt.Thread, lc *jrt.LoopCtx, budget *atomic.Int64, failed *atomic.Bool) error {
+// chunk exit, charging each block to a private lease on the region's
+// runaway budget and abandoning the chunk once a sibling has failed.
+// It makes no shared atomic read-modify-write per block: only one per
+// lease, and one to refund the unspent lease on exit.
+func (ex *Executor) runThreadToExit(loopID int32, th *jrt.Thread, lc *jrt.LoopCtx, rb *regionBudget) error {
+	var left int64 // blocks left in this worker's lease
 	for {
-		if failed.Load() {
+		if rb.failed.Load() {
 			return nil
 		}
 		if ex.inj.Fire(faultinject.WorkerPanic) {
@@ -215,22 +258,27 @@ func (ex *Executor) runThreadToExit(loopID int32, th *jrt.Thread, lc *jrt.LoopCt
 		if ex.inj.Fire(faultinject.Stall) {
 			// Forced stall: report the region wedged, as a livelocked
 			// worker eventually would.
-			failed.Store(true)
+			rb.failed.Store(true)
 			return regionErr(loopID, th.ID, ErrRegionStuck)
 		}
-		if budget.Add(-1) < 0 {
-			if failed.Load() {
-				return nil // a failing sibling may have drained the budget
+		if left == 0 {
+			if left = rb.lease(); left == 0 {
+				if rb.failed.Load() {
+					return nil // a failing sibling will report the region
+				}
+				rb.failed.Store(true)
+				return regionErr(loopID, th.ID, ErrRegionStuck)
 			}
-			failed.Store(true)
-			return regionErr(loopID, th.ID, ErrRegionStuck)
 		}
+		left--
 		if err := ex.stepBlock(th); err != nil {
-			failed.Store(true)
+			rb.failed.Store(true)
 			return regionErr(loopID, th.ID, err)
 		}
 		if lc.IsExit(th.Ctx.PC) {
 			th.State = jrt.StateDone
+			// Hand the unspent lease back to siblings still running.
+			rb.pool.Add(left)
 			return nil
 		}
 	}

@@ -202,9 +202,12 @@ func (ex *Executor) runRegionRoundRobin(loopID int32, threads []*jrt.Thread, lc 
 			if ex.suppressTx[th.ID] && th.ID != oldest {
 				continue
 			}
-			// Per-block guard check, the same boundary the host-parallel
-			// engine's shared budget enforces: a runaway region fails
-			// after MaxSteps blocks under either engine.
+			// Per-block guard check: a runaway region fails after
+			// exactly MaxSteps blocks. The host-parallel engine leases
+			// the same budget to its workers and may trip up to
+			// (Threads-1)*budgetLease blocks earlier; such a trip only
+			// sends the region here for recovery, so this guard alone
+			// decides the outcome.
 			if guard <= 0 {
 				return regionErr(loopID, -1, ErrRegionStuck)
 			}

@@ -143,7 +143,7 @@ func (ex *Executor) rollbackCharges() {
 func (ex *Executor) clearRegionCaches() {
 	for i := range ex.caches {
 		ex.caches[i] = map[uint64]*tblock{}
-		ex.lastBlk[i] = nil
+		ex.lastBlk[i].b = nil
 	}
 }
 

@@ -76,7 +76,7 @@ const maxBlockLen = 128
 func (ex *Executor) blockFor(t *jrt.Thread, addr uint64) (*tblock, error) {
 	// Block linking: the previous block's inline cache resolves its
 	// common successors without touching the code-cache map.
-	prev := ex.lastBlk[t.ID]
+	prev := ex.lastBlk[t.ID].b
 	if prev != nil {
 		if prev.linkPC[0] == addr && prev.linkBlk[0] != nil {
 			return prev.linkBlk[0], nil
@@ -216,7 +216,7 @@ func (ex *Executor) flushCaches() {
 	for i := range ex.caches {
 		ex.caches[i] = map[uint64]*tblock{}
 		ex.charged[i] = map[uint64]bool{}
-		ex.lastBlk[i] = nil
+		ex.lastBlk[i].b = nil
 	}
 	ex.Stats.CacheFlushes++
 }

@@ -130,7 +130,10 @@ func benchRunNative(b *testing.B) {
 // lbm train workload (dominated by DOALL parallel regions) under the
 // selected region engine, so the snapshot tracks the round-robin and
 // host-parallel engines. Simulated results are bit-identical between
-// the two; only host time differs.
+// the two; only host time differs. Besides wall time it reports
+// cpu-ms/op, the process CPU time (user + system) per run: the
+// host-parallel engine spends CPU on every worker goroutine, so wall
+// time alone hides what it costs.
 func benchRegion(hostParallel bool) func(b *testing.B) {
 	return func(b *testing.B) {
 		exe, libs, err := workloads.Build("470.lbm", workloads.Train, workloads.O3)
@@ -148,6 +151,7 @@ func benchRegion(hostParallel bool) func(b *testing.B) {
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
+		cpu0, cpuOK := processCPU()
 		for i := 0; i < b.N; i++ {
 			cfg := dbm.DefaultConfig(8)
 			cfg.HostParallel = hostParallel
@@ -158,6 +162,9 @@ func benchRegion(hostParallel bool) func(b *testing.B) {
 			if _, err := ex.Run(); err != nil {
 				b.Fatal(err)
 			}
+		}
+		if cpu1, ok := processCPU(); cpuOK && ok {
+			b.ReportMetric(float64(cpu1-cpu0)/1e6/float64(b.N), "cpu-ms/op")
 		}
 	}
 }

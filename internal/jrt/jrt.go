@@ -57,6 +57,12 @@ func PrivAddr(id int, slot int32) uint64 {
 	return TLSFor(id) + PrivSlotOff + uint64(slot)*PrivSlotSize
 }
 
+// CacheLine is the host cache-line size assumed when padding per-thread
+// hot state. Host-parallel workers write their own counters on every
+// block or instruction; if two workers' counters shared a line, every
+// such write would invalidate the line in the other core's cache.
+const CacheLine = 64
+
 // State is a pool thread's lifecycle state.
 type State uint8
 
@@ -88,15 +94,20 @@ type Thread struct {
 
 	// Steps counts instructions executed by this thread since the DBM
 	// last folded it into its global step budget. Accumulated
-	// thread-locally so host-parallel threads never contend on (or
-	// race over) a shared counter; the executor drains it at
-	// deterministic points.
+	// thread-locally so host-parallel threads never race over a shared
+	// counter; the executor drains it at deterministic points.
 	Steps int64
 	// TransBlocks/TransInsts/TransCycles accumulate this thread's
 	// translation work since the last fold, for the same reason.
 	TransBlocks int64
 	TransInsts  int64
 	TransCycles int64
+
+	// Steps is written on every instruction. Threads are allocated
+	// one after another, so without this pad a neighbouring thread's
+	// fields would share its cache line and the two host workers would
+	// invalidate each other's line on every step.
+	_ [CacheLine]byte
 }
 
 // Pool is the Janus thread pool.

@@ -13,13 +13,17 @@
 // state (the software TLB and the last-leaf cache) lives in per-thread
 // MemViews, so guest threads scheduled on different host goroutines can
 // access disjoint words concurrently without synchronisation on the hot
-// path. Structural changes (page and leaf allocation) are serialised by
-// a mutex on the miss path, and page-table slots are atomic pointers so
-// lock-free readers never observe a torn update.
+// path. Lookups never lock and never write shared state: the leaf
+// directory is an immutable map published through an atomic pointer,
+// and page-table slots are atomic pointers, so lock-free readers never
+// observe a torn update. Structural changes (page and leaf allocation)
+// are serialised by a mutex on the miss path; a leaf insert copies the
+// directory and publishes the copy.
 package vm
 
 import (
 	"encoding/binary"
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -96,9 +100,9 @@ type leaf struct {
 }
 
 // Memory is a sparse, zero-filled, byte-addressable 64-bit space backed
-// by a two-level page table: a directory of 4 MiB leaves (map keyed by
-// high address bits, consulted only on TLB+leaf miss) each holding an
-// array of 4 KiB page slots.
+// by a two-level page table: a directory of 4 MiB leaves (an immutable
+// map keyed by high address bits, consulted only on TLB+leaf miss) each
+// holding an array of 4 KiB page slots.
 //
 // All addresses are readable and writable; the simulator does not model
 // protection faults (the paper's transformations never rely on them).
@@ -111,20 +115,12 @@ type leaf struct {
 // disjointness Janus' static analysis and runtime bounds checks
 // guarantee for the loops it parallelises.
 type Memory struct {
-	// mu serialises structural growth: leaf-map inserts, page
-	// allocation, and the all/sorted bookkeeping. The data fast paths
-	// never take it.
-	mu     sync.RWMutex
-	leaves map[uint64]*leaf
-
-	// all lists every allocated page for the hash routines; it is
-	// re-sorted by page number on demand after new allocations.
-	all    []*page
-	sorted bool
-
-	// view is the default single-threaded access port used by Memory's
-	// own methods.
-	view MemView
+	// dir is the leaf directory. The map it points to is never mutated
+	// after publication: a leaf insert copies it under mu and stores
+	// the copy, so every lookup is one atomic load and a map read, with
+	// no lock and no write to a shared cache line. Leaves are few (one
+	// per touched 4 MiB span), so the copies are small and rare.
+	dir atomic.Pointer[map[uint64]*leaf]
 
 	// ckpt is the active region checkpoint, or nil. Deliberately a plain
 	// pointer: it flips only on the orchestrating goroutine while no
@@ -134,11 +130,27 @@ type Memory struct {
 	// ckptEpoch numbers checkpoints so page stamps from released
 	// checkpoints never alias a live one.
 	ckptEpoch uint64
+
+	// view is the default single-threaded access port used by Memory's
+	// own methods. It also keeps mu, which page allocation writes, off
+	// the cache line of the fields every access reads (dir, ckpt).
+	view MemView
+
+	// mu serialises structural growth: directory inserts, page
+	// allocation, and the all/sorted bookkeeping. The data fast paths
+	// never take it.
+	mu sync.Mutex
+
+	// all lists every allocated page for the hash routines; it is
+	// re-sorted by page number on demand after new allocations.
+	all    []*page
+	sorted bool
 }
 
 // NewMemory returns an empty address space.
 func NewMemory() *Memory {
-	m := &Memory{leaves: make(map[uint64]*leaf)}
+	m := &Memory{}
+	m.dir.Store(&map[uint64]*leaf{})
 	m.view.init(m)
 	return m
 }
@@ -153,20 +165,22 @@ func (m *Memory) NewView() *MemView {
 }
 
 // leafFor returns the directory leaf covering leafKey, allocating it if
-// absent and create is set.
+// absent and create is set. A hit takes no lock.
 func (m *Memory) leafFor(leafKey uint64, create bool) *leaf {
-	m.mu.RLock()
-	lf := m.leaves[leafKey]
-	m.mu.RUnlock()
-	if lf != nil || !create {
+	if lf := (*m.dir.Load())[leafKey]; lf != nil || !create {
 		return lf
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if lf = m.leaves[leafKey]; lf == nil {
-		lf = new(leaf)
-		m.leaves[leafKey] = lf
+	dir := *m.dir.Load()
+	if lf := dir[leafKey]; lf != nil {
+		return lf // another thread inserted it first
 	}
+	lf := new(leaf)
+	grown := make(map[uint64]*leaf, len(dir)+1)
+	maps.Copy(grown, dir)
+	grown[leafKey] = lf
+	m.dir.Store(&grown)
 	return lf
 }
 
@@ -484,8 +498,8 @@ func (m *Memory) hashBelow(limit uint64) uint64 {
 
 // Pages returns the number of resident pages (diagnostics only).
 func (m *Memory) Pages() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	return len(m.all)
 }
 

@@ -137,3 +137,68 @@ func TestFetchInstConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestMemViewConcurrentLeafGrowth grows the leaf directory from many
+// goroutines at once while others look up existing leaves, so under
+// -race it exercises the copy-and-publish insert path against lock-free
+// readers. Each view faults pages in fresh 4 MiB leaves at a 4 MiB
+// stride, both leaves of its own and leaves all views race to create,
+// and alternates with reads of a pre-built region, which misses the
+// view's one-entry leaf cache every time.
+func TestMemViewConcurrentLeafGrowth(t *testing.T) {
+	const (
+		views  = 8
+		rounds = 16
+		leaf   = pageSize << leafBits // 4 MiB
+		shared = uint64(0x1000_0000)  // pre-built, read-only region
+		fresh  = uint64(0x4000_0000)  // leaves created concurrently
+	)
+	// own and common are the addresses view g writes in round r: a word
+	// in a leaf no other view touches, and a word on view g's own page
+	// of a leaf every view creates in the same round.
+	own := func(g, r uint64) uint64 { return fresh + (r*views+g)*leaf + g*8 }
+	common := func(g, r uint64) uint64 { return fresh + (rounds*views+r)*leaf + g*pageSize }
+	build := func(m *Memory) {
+		for i := uint64(0); i < 4; i++ {
+			m.Write64(shared+i*leaf, i+1)
+		}
+	}
+	m := NewMemory()
+	build(m)
+	var wg sync.WaitGroup
+	for g := uint64(0); g < views; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v := m.NewView()
+			for r := uint64(0); r < rounds; r++ {
+				v.Write64(own(g, r), g<<32|r)
+				if got := v.Read64(shared + (r%4)*leaf); got != r%4+1 {
+					t.Errorf("view %d round %d: shared read %d, want %d", g, r, got, r%4+1)
+					return
+				}
+				v.Write64(common(g, r), g<<32|r)
+			}
+		}()
+	}
+	wg.Wait()
+
+	twin := NewMemory()
+	build(twin)
+	for g := uint64(0); g < views; g++ {
+		for r := uint64(0); r < rounds; r++ {
+			for _, addr := range []uint64{own(g, r), common(g, r)} {
+				if got := m.Read64(addr); got != g<<32|r {
+					t.Fatalf("view %d round %d: word at %#x is %#x", g, r, addr, got)
+				}
+				twin.Write64(addr, g<<32|r)
+			}
+		}
+	}
+	if got, want := len(*m.dir.Load()), len(*twin.dir.Load()); got != want {
+		t.Fatalf("directory has %d leaves, sequential twin %d", got, want)
+	}
+	if m.Hash() != twin.Hash() {
+		t.Fatalf("hash after concurrent growth %#x != sequential twin %#x", m.Hash(), twin.Hash())
+	}
+}
