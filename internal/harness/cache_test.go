@@ -4,7 +4,8 @@ package harness
 // rendered with the cache disabled, with an empty cache (cold), and
 // against the populated cache (warm) must be byte-identical to the
 // committed golden fixture, and the warm render must actually replay
-// from disk (nonzero hit counter) rather than quietly recomputing.
+// from disk (nonzero hit counter) rather than quietly recomputing. A
+// further render in the same process must not touch the disk at all.
 
 import (
 	"os"
@@ -64,6 +65,17 @@ func TestGoldenColdWarmOff(t *testing.T) {
 	}
 	if warm.BadEntries != 0 {
 		t.Errorf("store reported corrupt entries on a healthy run: %s", warm)
+	}
+
+	// A second render in the same process is served by the in-memory
+	// tiers alone: builds, native runs, analyses, profiles and DBM
+	// results. Any durable lookup means some memo key cannot hit (as a
+	// fresh per-row analysis once made figure 6's profile key) or some
+	// table is too small for the suite.
+	diffGolden(t, "second render in process", renderSuite(t, withCache()), want)
+	if again := cache.Stats(); again.Hits != warm.Hits || again.Misses != warm.Misses {
+		t.Errorf("second in-process render made %d hits and %d misses, want no durable lookups",
+			again.Hits-warm.Hits, again.Misses-warm.Misses)
 	}
 }
 

@@ -227,14 +227,18 @@ func figure6Row(name string, o Options) (*Fig6Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog, err := analyzer.Analyze(exe)
+	// The shared analysis keys the profile memo, so figure 6 reuses the
+	// profile figure 7 takes of the same train binary; the profile is
+	// applied to a private clone.
+	base, err := janus.Analysis(exe)
 	if err != nil {
 		return nil, err
 	}
-	pr, err := janus.RunProfilingCached(o.cache, exe, prog, libs...)
+	pr, err := janus.RunProfilingCached(o.cache, exe, base, libs...)
 	if err != nil {
 		return nil, err
 	}
+	prog := base.Clone()
 	prog.ApplyExclCoverage(pr.ExclCoverage)
 	prog.ApplyDependences(pr.Dependences)
 

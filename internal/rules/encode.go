@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"janus/internal/guest"
 	"janus/internal/sym"
@@ -20,12 +20,15 @@ import (
 
 const scheduleMagic = "JRS1"
 
+// wr appends fixed-width fields straight into the buffer's spare
+// capacity: no reflection and no allocation per field, so hashing a
+// schedule's image (the DBM cache key) stays cheap.
 type wr struct{ b bytes.Buffer }
 
 func (w *wr) u8(v uint8)   { w.b.WriteByte(v) }
-func (w *wr) u16(v uint16) { _ = binary.Write(&w.b, binary.LittleEndian, v) }
-func (w *wr) u32(v uint32) { _ = binary.Write(&w.b, binary.LittleEndian, v) }
-func (w *wr) u64(v uint64) { _ = binary.Write(&w.b, binary.LittleEndian, v) }
+func (w *wr) u16(v uint16) { w.b.Write(binary.LittleEndian.AppendUint16(w.b.AvailableBuffer(), v)) }
+func (w *wr) u32(v uint32) { w.b.Write(binary.LittleEndian.AppendUint32(w.b.AvailableBuffer(), v)) }
+func (w *wr) u64(v uint64) { w.b.Write(binary.LittleEndian.AppendUint64(w.b.AvailableBuffer(), v)) }
 func (w *wr) i64(v int64)  { w.u64(uint64(v)) }
 func (w *wr) str(s string) { w.u32(uint32(len(s))); w.b.WriteString(s) }
 func (w *wr) boolean(v bool) {
@@ -40,11 +43,12 @@ func (w *wr) expr(e sym.Expr) {
 	w.boolean(e.Unknown)
 	w.i64(e.Const)
 	w.i64(e.Iter)
-	regs := make([]guest.Reg, 0, len(e.Regs))
+	var buf [guest.NumGPR + 1]guest.Reg // GPRs and RegTLS: no heap on the common path
+	regs := buf[:0]
 	for r := range e.Regs {
 		regs = append(regs, r)
 	}
-	sort.Slice(regs, func(i, j int) bool { return regs[i] < regs[j] })
+	slices.Sort(regs)
 	w.u16(uint16(len(regs)))
 	for _, r := range regs {
 		w.u8(uint8(r))
@@ -332,6 +336,7 @@ func decodePayload(r *rd, id ID, n int) (Payload, error) {
 // Save serialises the schedule.
 func (s *Schedule) Save() ([]byte, error) {
 	w := &wr{}
+	w.b.Grow(64 * (len(s.Rules) + 1)) // a typical rule with its payload fits
 	w.b.WriteString(scheduleMagic)
 	w.str(s.ExeName)
 	w.u64(s.ExeSize)
@@ -340,12 +345,14 @@ func (s *Schedule) Save() ([]byte, error) {
 		w.u64(rule.Addr)
 		w.u16(uint16(rule.ID))
 		w.u32(uint32(rule.LoopID))
-		pw := &wr{}
-		if err := encodePayload(pw, rule.ID, rule.Data); err != nil {
+		// Reserve the payload length, encode the payload in place, then
+		// patch the length in: no per-rule payload buffer.
+		at := w.b.Len()
+		w.u32(0)
+		if err := encodePayload(w, rule.ID, rule.Data); err != nil {
 			return nil, err
 		}
-		w.u32(uint32(pw.b.Len()))
-		w.b.Write(pw.b.Bytes())
+		binary.LittleEndian.PutUint32(w.b.Bytes()[at:], uint32(w.b.Len()-at-4))
 	}
 	return w.b.Bytes(), nil
 }

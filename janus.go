@@ -89,8 +89,11 @@ type Report struct {
 	Program  *analyzer.Program
 	Schedule *rules.Schedule
 	Native   *vm.Result
-	DBM      *dbm.Result
-	Stats    dbm.Stats
+	// DBM is the parallelised run's result. With Config.Cache set it
+	// may be shared with other runs of the same binary, schedule and
+	// DBM configuration (the in-memory DBM tier), so it is read-only.
+	DBM   *dbm.Result
+	Stats dbm.Stats
 	// Selected is the number of loops parallelised.
 	Selected int
 }
@@ -102,6 +105,14 @@ func (r *Report) Speedup() float64 {
 		return 0
 	}
 	return float64(r.Native.Cycles) / float64(r.DBM.Cycles)
+}
+
+// Analysis returns the static analysis of exe, computed at most once
+// per executable and shared by every caller, Parallelise included. The
+// Program is read-only: apply profiles and select loops on a
+// Program.Clone.
+func Analysis(exe *obj.Executable) (*analyzer.Program, error) {
+	return runAnalyzeMemo(exe)
 }
 
 // Parallelise runs the complete Janus flow on exe.

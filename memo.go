@@ -22,21 +22,29 @@ import (
 // alias two different programs — and each table is bounded so
 // long-lived processes cannot grow it without limit.
 //
-// Beneath the in-memory tier sits the optional durable tier
+// There are three such memos here — native results, analyses and
+// training profiles — and they apply with or without a durable cache.
+// A fourth in-memory tier, for DBM results, lives with runDBMCached in
+// cache.go; it runs only when a durable cache is configured (c != nil),
+// so without one every DBM call still executes.
+//
+// Beneath the in-memory tiers sits the optional durable tier
 // (internal/artcache, wired through Config.Cache): on a memory miss
 // the flight function first consults the on-disk store, keyed by
 // content fingerprint rather than pointer, and publishes what it
 // computes. The analysis memo is the exception — an analyzer.Program
 // is a live CFG/SSA object graph with no serialised form, so it stays
 // memory → compute only. It is not cheap to lose: on a warm request
-// every native, profile and DBM result is a cache hit, and re-analysing
-// the binary for each configuration would be most of the remaining
-// work.
+// every native, profile and DBM result is a memory hit, and
+// re-analysing the binary for each configuration would be most of the
+// remaining work.
 
-// memoLimit bounds each memo table (the harness working set is far
-// smaller); eviction keeps in-flight entries, so the run-exactly-once
-// guarantee survives it.
-const memoLimit = 64
+// memoLimit bounds each memo table. It must hold the full suite's
+// working set — 70 analyses, fewer native and profile results — because
+// a full table evicts every completed entry at once, and an evicted
+// analysis also strands the profile entries keyed on it. Eviction keeps
+// in-flight entries, so the run-exactly-once guarantee survives it.
+const memoLimit = 128
 
 // libsKey folds a library pointer set into a comparable key.
 type libsKey [4]*obj.Library

@@ -10,7 +10,10 @@ import (
 
 	"janus/internal/analyzer"
 	"janus/internal/artcache"
+	"janus/internal/dbm"
+	"janus/internal/faultinject"
 	"janus/internal/obj"
+	"janus/internal/rules"
 	"janus/internal/singleflight"
 	"janus/internal/vm"
 	"janus/internal/workloads"
@@ -307,9 +310,9 @@ func saveSchedule(t *testing.T, p *analyzer.Program) []byte {
 
 // TestParalleliseProfilesOnceWithoutTrainExe: with TrainExe nil the
 // ref binary profiles itself, and a second run must reuse the first
-// profile from memory. Its only durable-tier lookup is then the DBM
-// result (DBM runs are not memoised in memory); a profile memo miss
-// would add a profile lookup.
+// profile from memory. The native and DBM results come from memory
+// too, so the second run makes no durable-tier lookup at all; a
+// profile memo miss would add a profile lookup.
 func TestParalleliseProfilesOnceWithoutTrainExe(t *testing.T) {
 	cache, err := artcache.Open(t.TempDir(), artcache.Options{})
 	if err != nil {
@@ -330,8 +333,8 @@ func TestParalleliseProfilesOnceWithoutTrainExe(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := cache.Stats()
-	if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != 1 || misses != 0 {
-		t.Fatalf("second run made %d hits and %d misses, want 1 hit (the DBM result) and 0 misses", hits, misses)
+	if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != 0 || misses != 0 {
+		t.Fatalf("second run made %d hits and %d misses, want no durable lookups", hits, misses)
 	}
 	if first.Program == second.Program {
 		t.Fatal("two runs shared one per-run Program")
@@ -388,4 +391,225 @@ func TestParalleliseConcurrentOnOneExe(t *testing.T) {
 		}
 	}
 	wg.Wait()
+}
+
+// lookups is the number of durable-tier reads a cache has served.
+func lookups(c *artcache.Cache) int64 {
+	st := c.Stats()
+	return st.Hits + st.Misses
+}
+
+// dbmTierFixture returns an empty cache, a small binary and a
+// static+checks parallel schedule for it, with the memory tiers reset
+// so earlier tests' entries cannot answer.
+func dbmTierFixture(t *testing.T) (*artcache.Cache, *obj.Executable, []*obj.Library, *rules.Schedule) {
+	t.Helper()
+	cache, err := artcache.Open(t.TempDir(), artcache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exe, libs, err := workloads.Build("470.lbm", workloads.Train, workloads.O3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := Analysis(exe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := base.Clone()
+	prog.SelectLoops(analyzer.SelectOptions{UseChecks: true})
+	sched, err := prog.GenParallelSchedule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ResetMemos()
+	return cache, exe, libs, sched
+}
+
+// TestDBMMemoKeysDoNotAlias: DBM configurations that differ in the
+// engine knob, the thread count or the schedule (nil vs non-nil) must
+// each get their own entry in the memory tier — a fresh durable lookup
+// and a distinct result — while repeating any of them is served from
+// memory with no lookup.
+func TestDBMMemoKeysDoNotAlias(t *testing.T) {
+	cache, exe, libs, sched := dbmTierFixture(t)
+	base := dbm.DefaultConfig(8)
+	serial := base
+	serial.HostParallel = false
+	four := base
+	four.Threads = 4
+	cases := []struct {
+		name  string
+		sched *rules.Schedule
+		cfg   dbm.Config
+	}{
+		{"base", sched, base},
+		{"host-parallel off", sched, serial},
+		{"4 threads", sched, four},
+		{"no schedule", nil, base},
+	}
+	got := make([]*dbm.Result, len(cases))
+	seen := map[*dbm.Result]string{}
+	for i, c := range cases {
+		before := lookups(cache)
+		res, err := runDBMCached(cache, exe, c.sched, c.cfg, libs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := lookups(cache) - before; n != 1 {
+			t.Errorf("%s: first call made %d durable lookups, want 1", c.name, n)
+		}
+		if other, ok := seen[res]; ok {
+			t.Errorf("%s: result aliases the %s entry", c.name, other)
+		}
+		seen[res] = c.name
+		got[i] = res
+	}
+	if got[0].Cycles == got[2].Cycles || got[0].Cycles == got[3].Cycles {
+		t.Errorf("thread count or schedule did not change the cycle count: %d/%d/%d", got[0].Cycles, got[2].Cycles, got[3].Cycles)
+	}
+	for i, c := range cases {
+		before := lookups(cache)
+		res, err := runDBMCached(cache, exe, c.sched, c.cfg, libs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := lookups(cache) - before; n != 0 {
+			t.Errorf("%s: repeat made %d durable lookups, want a memory hit", c.name, n)
+		}
+		if res != got[i] {
+			t.Errorf("%s: repeat returned the %q entry", c.name, seen[res])
+		}
+	}
+}
+
+// TestDBMMemoInjectExecutes: a fault-injected run bypasses both tiers
+// even when the same configuration without injection is memoised. Each
+// injected run executes and reports its own recoveries, and the clean
+// entry stays clean.
+func TestDBMMemoInjectExecutes(t *testing.T) {
+	cache, exe, libs, sched := dbmTierFixture(t)
+	cfg := dbm.DefaultConfig(8)
+	clean, err := runDBMCached(cache, exe, sched, cfg, libs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := faultinject.ParsePlan("scan-defeat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	injected := cfg
+	injected.Inject = plan
+	before := lookups(cache)
+	var prev *dbm.Result
+	for i := 0; i < 2; i++ {
+		res, err := runDBMCached(cache, exe, sched, injected, libs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.ParRecoveries == 0 {
+			t.Fatalf("injected run %d reported no recoveries: it did not execute", i)
+		}
+		if res == clean || res == prev {
+			t.Fatalf("injected run %d returned a memoised result", i)
+		}
+		if res.Cycles != clean.Cycles || res.DataHash != clean.DataHash {
+			t.Fatalf("injected run %d diverged: %d cycles vs %d", i, res.Cycles, clean.Cycles)
+		}
+		prev = res
+	}
+	if n := lookups(cache) - before; n != 0 {
+		t.Errorf("injected runs made %d durable lookups, want 0", n)
+	}
+	again, err := runDBMCached(cache, exe, sched, cfg, libs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != clean || again.Stats.ParRecoveries != 0 {
+		t.Errorf("clean lookup after injection: %p with %d recoveries, want the memoised clean result", again, again.Stats.ParRecoveries)
+	}
+}
+
+// TestDBMMemoResetFallsToDisk: ResetMemos empties the DBM tier, so the
+// next lookup is a durable hit; the one after it is served from memory.
+func TestDBMMemoResetFallsToDisk(t *testing.T) {
+	cache, exe, libs, sched := dbmTierFixture(t)
+	cfg := dbm.DefaultConfig(8)
+	first, err := runDBMCached(cache, exe, sched, cfg, libs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ResetMemos()
+	before := cache.Stats()
+	second, err := runDBMCached(cache, exe, sched, cfg, libs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := cache.Stats()
+	if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != 1 || misses != 0 {
+		t.Fatalf("lookup after ResetMemos made %d hits and %d misses, want 1 hit", hits, misses)
+	}
+	if second == first || second.Cycles != first.Cycles || second.Stats != first.Stats {
+		t.Fatalf("disk replay: %p %+v, want a decoded copy of %p %+v", second, second.Stats, first, first.Stats)
+	}
+	third, err := runDBMCached(cache, exe, sched, cfg, libs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if third != second || lookups(cache) != after.Hits+after.Misses {
+		t.Fatal("third lookup was not served from memory")
+	}
+}
+
+// TestDBMMemoNilCacheExecutes: without a durable cache there is no DBM
+// memory tier, so two identical calls run the DBM twice.
+func TestDBMMemoNilCacheExecutes(t *testing.T) {
+	_, exe, libs, sched := dbmTierFixture(t)
+	cfg := dbm.DefaultConfig(8)
+	a, err := runDBMCached(nil, exe, sched, cfg, libs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := runDBMCached(nil, exe, sched, cfg, libs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a == b {
+		t.Fatal("nil cache: second call returned the first call's result")
+	}
+	if a.Cycles != b.Cycles || a.DataHash != b.DataHash {
+		t.Fatalf("two executions disagree: %d vs %d cycles", a.Cycles, b.Cycles)
+	}
+}
+
+// TestDBMMemoConcurrentLookupsMissOnce: concurrent identical lookups on
+// an empty cache share one computation — exactly one durable miss, one
+// write, and one result for every caller.
+func TestDBMMemoConcurrentLookupsMissOnce(t *testing.T) {
+	cache, exe, libs, sched := dbmTierFixture(t)
+	cfg := dbm.DefaultConfig(8)
+	const n = 8
+	results := make([]*dbm.Result, n)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := runDBMCached(cache, exe, sched, cfg, libs...)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			results[i] = res
+		}()
+	}
+	wg.Wait()
+	if st := cache.Stats(); st.Misses != 1 || st.Hits != 0 {
+		t.Fatalf("%d concurrent lookups: %s, want exactly 1 miss", n, st)
+	}
+	for i, r := range results {
+		if r != results[0] {
+			t.Fatalf("caller %d got a different result than caller 0", i)
+		}
+	}
 }
